@@ -3,8 +3,8 @@
 Boots ``python -m repro.service serve`` as a real subprocess — once per
 ``--workers`` level — registers four distinct benchmark databases
 (distinct content, so their fingerprints spread across shards), and
-drives a repeated-query workload (all four routes: factorized /
-yannakakis / wcoj / treewidth-dp) through the asyncio load generator.
+drives a repeated-query workload (every route: factorized /
+yannakakis / wcoj) through the asyncio load generator.
 Reports client-side p50/p95/p99 latency and throughput per level,
 asserts the service contracts —
 
@@ -57,7 +57,7 @@ from pathlib import Path
 
 from repro.generators.agm import uniform_random_database
 from repro.relational.query import Atom, JoinQuery
-from repro.relational.router import execute_route
+from repro.relational.router import ROUTES, execute_route
 from repro.service.client import ServiceClient, run_load
 from repro.service.server import canonical_answers, strip_volatile
 from repro.service.store import database_from_payload, relations_payload
@@ -74,18 +74,18 @@ PATH_ATOMS = [
     {"relation": "R3", "attributes": ["a2", "a3"]},
 ]
 
-#: (label, payload-sans-database, expected route) — all four routes.
+#: (label, payload-sans-database, expected route) — every route.
 WORKLOAD_SPEC = [
     ("triangle-enumerate", {"atoms": TRIANGLE_ATOMS}, "wcoj"),
     ("triangle-boolean", {"atoms": TRIANGLE_ATOMS, "mode": "boolean"}, "wcoj"),
-    ("triangle-count", {"atoms": TRIANGLE_ATOMS, "mode": "count"}, "treewidth-dp"),
+    ("triangle-count", {"atoms": TRIANGLE_ATOMS, "mode": "count"}, "wcoj"),
     ("path-enumerate", {"atoms": PATH_ATOMS}, "factorized"),
     (
         "path-project",
         {"atoms": PATH_ATOMS, "free": ["a1", "a3"]},
         "yannakakis",
     ),
-    ("path-count", {"atoms": PATH_ATOMS, "mode": "count"}, "factorized"),
+    ("path-count", {"atoms": PATH_ATOMS, "mode": "count"}, "yannakakis"),
 ]
 
 #: Seeds of the four benchmark databases. Distinct seeds give distinct
@@ -327,12 +327,7 @@ def test_service_load_sweep():
             f"{metrics['plan_cache']['hit_ratio']:.3f} below {min_hit_ratio} "
             "on a repeated-query workload"
         )
-        assert set(metrics["telemetry"]["route_mix"]) == {
-            "factorized",
-            "yannakakis",
-            "wcoj",
-            "treewidth-dp",
-        }
+        assert set(metrics["telemetry"]["route_mix"]) == set(ROUTES)
         if workers > 0:
             shards = metrics["executor"]["shards"]
             shard_views[workers] = shards

@@ -5,7 +5,8 @@ The paper defines three versions of every problem: decide, count,
 enumerate (§2.1/§2.2). This walk-through exercises all three plus the
 §2.4/§5 core machinery:
 
-1. count join answers without materializing them (treewidth DP);
+1. count join answers without materializing them (the router's
+   ``count`` mode: a counting-semiring sum-product pass);
 2. enumerate with constant delay on acyclic queries vs the naive
    enumerator's growing delays;
 3. minimize a self-join query via its core (Chandra–Merlin);
@@ -22,13 +23,13 @@ from repro.graphs.graph import Graph
 from repro.relational import (
     Atom,
     JoinQuery,
-    count_answers,
     enumerate_acyclic,
     enumerate_nested_loop,
     generic_join,
     measure_delays,
     minimize_query,
 )
+from repro.relational.router import execute_route
 from repro.structures import Structure, solve_hom_via_core
 
 
@@ -37,9 +38,10 @@ def main() -> None:
     query = JoinQuery.path(6)
     database = uniform_random_database(query, 50, 6, seed=3)
     counter = CostCounter()
-    count = count_answers(query, database, counter)
-    print(f"path-6 query, N = 50: |Q(D)| = {count}")
-    print(f"counting DP operations: {counter.total} "
+    answer = execute_route(query, database, mode="count", counter=counter)
+    count = answer.count
+    print(f"path-6 query, N = 50: |Q(D)| = {count} (route {answer.decision.route})")
+    print(f"counting operations: {counter.total} "
           f"(materializing would touch every one of the {count} tuples)")
 
     print("\n=== 2. Constant-delay enumeration (acyclic) ===")

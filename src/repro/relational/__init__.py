@@ -38,7 +38,6 @@ from .semiring import (
 )
 from .yannakakis import semiring_yannakakis, yannakakis
 from .wcoj import generic_join, generic_join_aggregate
-from .counting_answers import count_answers
 from .estimate import agm_bound, agm_bound_uniform
 
 __all__ = [
@@ -60,7 +59,6 @@ __all__ = [
     "agm_bound_uniform",
     "all_semirings",
     "canonical_structure",
-    "count_answers",
     "enumerate_acyclic",
     "enumerate_nested_loop",
     "evaluate_factorized",

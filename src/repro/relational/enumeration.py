@@ -5,10 +5,11 @@ d-uniform hyperclique conjecture rules out constant-delay algorithms
 for some queries). This module implements the positive side for
 α-acyclic queries — Bagan–Durand–Grandjean-style enumeration:
 
-* :func:`enumerate_acyclic` — linear-time preprocessing (Yannakakis'
-  full reducer) after which every partial assignment extends to an
-  answer, so the DFS is backtrack-free and the delay between
-  consecutive answers is O(query size), independent of the data;
+* :func:`enumerate_acyclic` — linear-time preprocessing (a factorized
+  d-representation built over Yannakakis' reducer) after which every
+  partial assignment extends to an answer, so the walk is
+  backtrack-free and the delay between consecutive answers is
+  O(query size), independent of the data;
 * :func:`enumerate_nested_loop` — the naive baseline whose dead ends
   make the worst-case delay grow with the data;
 * :func:`measure_delays` — a :class:`DelayProfile` of operation-count
@@ -19,11 +20,11 @@ for some queries). This module implements the positive side for
 Both enumerators yield answer tuples in the query's attribute order;
 ``enumerate_acyclic`` additionally accepts a ``free`` projection, which
 is legal exactly for *free-connex* acyclic queries (the Bagan–Durand–
-Grandjean dichotomy) and is served from a factorized d-representation
-(:mod:`~repro.relational.factorized`); non-free-connex projections
-raise :class:`~repro.errors.SchemaError` so callers fall back
-explicitly — silently enumerating them used to risk duplicate answers
-and data-dependent delay.
+Grandjean dichotomy). Full and projected answers alike are served from
+a factorized d-representation (:mod:`~repro.relational.factorized`);
+non-free-connex projections raise :class:`~repro.errors.SchemaError`
+so callers fall back explicitly — silently enumerating them used to
+risk duplicate answers and data-dependent delay.
 """
 
 from __future__ import annotations
@@ -33,13 +34,10 @@ from dataclasses import dataclass
 
 from ..counting import CostCounter, charge
 from ..errors import SchemaError
-from ..hypergraph.acyclicity import is_alpha_acyclic, join_tree
 from .database import Database
 from .factorized import factorize, is_free_connex
 from .query import JoinQuery
 from .relation import Value
-from . import kernels
-from .yannakakis import backend_relations, semijoin_reduce, tree_links
 
 
 def enumerate_nested_loop(
@@ -87,20 +85,21 @@ def enumerate_acyclic(
 ) -> Iterator[tuple[Value, ...]]:
     """Backtrack-free enumeration for α-acyclic queries.
 
-    Preprocessing (not counted toward delay in the lower-bound sense,
-    but charged to ``counter`` like everything else): a full-reducer
-    semijoin program over the join tree, then per-edge hash indexes.
-    After reduction every tuple of every relation participates in some
-    answer, so the DFS never retreats: the operation-count gap between
-    consecutive yields is O(#atoms · arity), independent of N.
+    Served from a factorized d-representation
+    (:func:`~repro.relational.factorized.factorize`). Its preprocessing
+    — a semijoin-reduced Yannakakis pass and the DAG build — is not
+    counted toward delay in the lower-bound sense, but is charged to
+    ``counter`` like everything else. After it, every node of the DAG
+    denotes at least one answer, so the walk never retreats: the
+    operation-count gap between consecutive yields is O(query size),
+    independent of N.
 
     Parameters
     ----------
     free:
         Optional projection attributes. Legal exactly when the query
         with these free variables is free-connex acyclic; the answers
-        are then served from a factorized d-representation with the
-        same constant-delay guarantee.
+        come with the same constant-delay guarantee.
 
     Raises
     ------
@@ -109,101 +108,20 @@ def enumerate_acyclic(
         free-connex dichotomy rules out (callers should fall back to
         materialization, e.g. via ``factorized.evaluate``).
 
-    Complexity: O(‖D‖) preprocessing (Yannakakis semi-joins), then
-        O(|Q| · ‖D‖) delay per answer, independent of the answer count.
+    Complexity: O(‖D‖ · |A|) preprocessing (Yannakakis semi-joins and
+        the d-representation build), then O(|Q|) delay per answer,
+        independent of the answer count.
     """
-    if free is not None and tuple(free) != query.attributes:
-        if not is_free_connex(query, free):
-            raise SchemaError(
-                "projected enumeration requires a free-connex acyclic "
-                "query; this instance falls on the hard side of the "
-                "dichotomy — materialize via factorized.evaluate instead"
-            )
-        yield from factorize(query, database, free=free, counter=counter).enumerate(
-            counter
+    if not is_free_connex(query, free):
+        raise SchemaError(
+            "constant-delay enumeration requires a free-connex acyclic "
+            "query (alpha-acyclic, for a full query); this instance falls "
+            "on the hard side of the dichotomy — materialize via "
+            "factorized.evaluate instead"
         )
-        return
-
-    query.validate_against(database)
-    hypergraph = query.hypergraph()
-    if not is_alpha_acyclic(hypergraph):
-        raise SchemaError("constant-delay enumeration requires an alpha-acyclic query")
-
-    columnar = database.backend == "columnar"
-    relations, semi, __ = backend_relations(query, database)
-    links = join_tree(hypergraph)
-    children, parent, roots = tree_links(len(relations), links)
-
-    # Full reducer: leaves-up then root-down semijoins.
-    semijoin_reduce(relations, children, roots, semi, counter, downward=True)
-    if columnar:
-        # The reduce pass (the O(‖D‖) hot part) ran on interned columns;
-        # the backtrack-free walk below works on decoded value tuples, so
-        # per-answer delays are identical across backends.
-        relations = [
-            kernels.to_relation(
-                view, database.kernels.interner, query.atoms[i].relation_name
-            )
-            for i, view in enumerate(relations)
-        ]
-
-    if any(len(relations[r]) == 0 for r in range(len(relations))):
-        return
-
-    # Index each non-root node by its ancestor-bound attributes: the
-    # key a child is probed with holds every attribute some ancestor
-    # (parent included) has already fixed by the time it is visited.
-    shared_attrs: dict[int, list[str]] = {}
-    index: dict[int, dict[tuple, list[tuple]]] = {}
-    for child, par in parent.items():
-        shared = [
-            a for a in relations[child].attributes
-            if _bound_above(a, par, parent, relations)
-        ]
-        shared_attrs[child] = shared
-        positions = [relations[child].position(a) for a in shared]
-        buckets: dict[tuple, list[tuple]] = {}
-        for t in relations[child].tuples:
-            charge(counter)
-            buckets.setdefault(tuple(t[p] for p in positions), []).append(t)
-        index[child] = buckets
-
-    assignment: dict[str, Value] = {}
-    visit_order: list[int] = []
-    for root in roots:
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            visit_order.append(node)
-            stack.extend(children[node])
-
-    def tuples_for(node: int) -> Iterator[tuple]:
-        if node in parent:
-            key = tuple(assignment[a] for a in shared_attrs[node])
-            yield from index[node].get(key, ())
-        else:
-            yield from relations[node].tuples
-
-    def walk(pos: int) -> Iterator[tuple[Value, ...]]:
-        if pos == len(visit_order):
-            yield tuple(assignment[a] for a in query.attributes)
-            return
-        node = visit_order[pos]
-        relation = relations[node]
-        for t in tuples_for(node):
-            charge(counter)
-            if not relation.matches(t, assignment):
-                continue
-            added = []
-            for attr, val in zip(relation.attributes, t):
-                if attr not in assignment:
-                    assignment[attr] = val
-                    added.append(attr)
-            yield from walk(pos + 1)
-            for attr in added:
-                del assignment[attr]
-
-    yield from walk(0)
+    yield from factorize(query, database, free=free, counter=counter).enumerate(
+        counter
+    )
 
 
 @dataclass(frozen=True)
@@ -273,12 +191,3 @@ def measure_delays(answers: Iterator, counter: CostCounter) -> DelayProfile:
         setup=setup, gaps=tuple(gaps), exhaustion=exhaustion, answers=count
     )
 
-
-def _bound_above(attr: str, node: int, parent: dict[int, int], relations) -> bool:
-    """Is ``attr`` bound by some ancestor of ``node`` (inclusive)?"""
-    current: int | None = node
-    while current is not None:
-        if relations[current].has_attribute(attr):
-            return True
-        current = parent.get(current)
-    return False

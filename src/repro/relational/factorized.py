@@ -32,7 +32,8 @@ Construction sketch (all steps charged to the ``CostCounter``):
    standard full reducer makes it globally consistent.
 3. Fold the reduced derived query into a memoized union/product DAG:
    one union node per (atom, parent-key) pair, one product node per
-   tuple, one leaf per fresh attribute block. Distinct tuples behind a
+   tuple (a child's product is spliced into its parent's, never
+   nested), one leaf per fresh attribute block. Distinct tuples behind a
    key differ on the fresh attributes, so union branches are disjoint
    and counting is a sum/product sweep over the DAG.
 """
@@ -555,7 +556,14 @@ def factorize(
                 )
             for c in g_children[j]:
                 child_key = tuple(t[rel.position(a)] for a in key_attrs[c])
-                parts.append(build(c, child_key))
+                child = build(c, child_key)
+                # × is associative: splice a child product's factors in
+                # instead of nesting it, so the walk enters one product
+                # per tuple it extends.
+                if isinstance(child, _Product):
+                    parts.extend(child.parts)
+                else:
+                    parts.append(child)
             branches.append(parts[0] if len(parts) == 1 else _Product(tuple(parts)))
         node = branches[0] if len(branches) == 1 else _Union(tuple(branches))
         memo[(j, key)] = node

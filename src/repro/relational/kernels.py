@@ -34,9 +34,11 @@ of the smallest set, per trie-edge descent, per hashed tuple, per
 joined pair, per answer — computed in bulk from run widths rather than
 paid per Python iteration. Full-evaluation op totals are therefore
 *backend-invariant* (asserted by the property tests); only wall-clock
-changes. Early-exit (boolean) evaluation stops at the first witness,
-whose position depends on traversal order, so its totals agree across
-backends only when the answer is empty.
+changes. A first-witness walk charges one unit per candidate it
+examined, per descent and per answer, and stops at its first answer.
+Where that answer lies depends on the traversal order, so first-witness
+totals agree across backends only when the answer is empty, and then
+they equal the full walk's.
 """
 
 from __future__ import annotations
@@ -435,19 +437,6 @@ def _descend(cur: _TrieCursor, run: int) -> tuple[int, int, int]:
     return saved
 
 
-def _cursors(query, database, order: tuple[str, ...]) -> list[_TrieCursor]:
-    """A fresh trie cursor per atom, tries served from the index cache."""
-    state: KernelState = database.kernels
-    cursors = []
-    for atom in query.atoms:
-        relation = database.relation(atom.relation_name)
-        positions = tuple(
-            atom.attributes.index(a) for a in order if a in atom.attributes
-        )
-        cursors.append(_TrieCursor(state.sorted_trie(relation, positions)))
-    return cursors
-
-
 def _drive_generic_join(
     query,
     database,
@@ -456,19 +445,33 @@ def _drive_generic_join(
     counter: CostCounter | None,
     sink,
     span_name: str = "generic_join",
+    lazy: bool = False,
 ) -> int:
-    """The shared leapfrog traversal behind every columnar Generic Join.
+    """The one columnar Generic Join traversal.
 
     Walks the sorted-array tries exactly as described on
     :func:`generic_join_columnar` and hands every leaf batch to
     ``sink(prefix, values)`` — ``prefix`` the decoded values bound for
     ``order[:-1]`` so far, ``values`` the matched interned codes of the
-    last attribute. Materialization and semiring aggregation are both
-    sinks over this one traversal, which is what keeps their charge
-    streams identical unit for unit (and identical to the naive
-    engine's). Returns the number of answers emitted.
+    last attribute. Materialization, semiring folding and first-witness
+    search are the three sinks over this one traversal, which is what
+    keeps their charge streams identical unit for unit (and identical
+    to the naive engine's). Returns the number of answers emitted.
+
+    ``lazy`` is for sinks that stop the walk by returning a true value
+    (the batched walk ignores the return value). Every node then
+    examines, charges and emits its leader's candidates one at a time,
+    so a stopped walk pays only for the candidates it examined; a lazy
+    walk that is never stopped charges what the batched walk charges.
     """
-    cursors = _cursors(query, database, order)
+    # A fresh trie cursor per atom, tries served from the index cache.
+    cursors = []
+    for atom in query.atoms:
+        relation = database.relation(atom.relation_name)
+        positions = tuple(
+            atom.attributes.index(a) for a in order if a in atom.attributes
+        )
+        cursors.append(_TrieCursor(database.kernels.sorted_trie(relation, positions)))
     registry = current_metrics()
     probe_hist = candidate_hist = None
     if registry is not None:
@@ -482,19 +485,21 @@ def _drive_generic_join(
     probes_since_answer = 0
     emitted = 0
 
-    def emit_batch(values: list[int]) -> None:
-        # One leaf node's matched codes become answers in bulk. The
-        # probe histogram keeps count/sum parity with the naive engine
-        # (probes land on the batch's first answer instead of being
-        # spread across it — see the module docstring).
+    def emit_batch(values: list[int]) -> bool:
+        # One leaf node's matched codes become answers in bulk; True
+        # when the sink asks to stop. The probe histogram keeps
+        # count/sum parity with the naive engine (probes land on the
+        # batch's first answer instead of being spread across it — see
+        # the module docstring).
         nonlocal probes_since_answer, emitted
         emitted += len(values)
-        sink(tuple(prefix), values)
+        stop = sink(tuple(prefix), values)
         if probe_hist is not None:
             probe_hist.observe(probes_since_answer)
             probes_since_answer = 0
             for _ in range(len(values) - 1):
                 probe_hist.observe(0)
+        return bool(stop)
 
     def scalar_pair_node(
         leader: _TrieCursor,
@@ -593,6 +598,47 @@ def _drive_generic_join(
             charge(counter, len(batch))
             emit_batch(batch)
 
+    def witness_node(
+        leader: _TrieCursor,
+        others: list[_TrieCursor],
+        pos: int,
+        natoms: int,
+    ) -> bool:
+        # The lazy walk's node: no bulk width charge and no numpy
+        # batch, one candidate at a time, so the walk can stop right
+        # after the answer the sink stops it at. True once stopped.
+        nonlocal probes_since_answer
+        values = leader.trie.ulist[leader.level]
+        last = pos == nattrs - 1
+        for run in range(leader.lo, leader.hi):
+            charge(counter)
+            probes_since_answer += 1
+            v = values[run]
+            hits = []
+            for other in others:
+                ul = other.trie.ulist[other.level]
+                ix = bisect_left(ul, v, other.lo, other.hi)
+                if ix >= other.hi or ul[ix] != v:
+                    break
+                hits.append((other, ix))
+            else:
+                charge(counter, natoms)
+                if last:
+                    charge(counter)
+                    if emit_batch([v]):
+                        return True
+                    continue
+                saved = [(other, _descend(other, ix)) for other, ix in hits]
+                saved.append((leader, _descend(leader, run)))
+                prefix.append(decode[v])
+                stopped = recurse(pos + 1)
+                prefix.pop()
+                for cur, (lvl, lo, hi) in saved:
+                    cur.level, cur.lo, cur.hi = lvl, lo, hi
+                if stopped:
+                    return True
+        return False
+
     def vector_node(
         leader: _TrieCursor,
         others: list[_TrieCursor],
@@ -643,7 +689,9 @@ def _drive_generic_join(
         for cur, _, lvl, lo, hi in descents:
             cur.level, cur.lo, cur.hi = lvl, lo, hi
 
-    def recurse(pos: int) -> None:
+    def recurse(pos: int) -> bool:
+        """Walk the subtree at ``pos``; True once the sink stopped a
+        lazy walk."""
         nonlocal probes_since_answer
         atoms_here = relevant[pos]
         lead = atoms_here[0]
@@ -655,16 +703,19 @@ def _drive_generic_join(
                 lead = i
         if candidate_hist is not None:
             candidate_hist.observe(width)
+        leader = cursors[lead]
+        others = [cursors[i] for i in atoms_here if i != lead]
+        if lazy:
+            return witness_node(leader, others, pos, len(atoms_here))
         charge(counter, width)
         probes_since_answer += width
         if width == 0:
-            return
-        leader = cursors[lead]
-        others = [cursors[i] for i in atoms_here if i != lead]
+            return False
         if width <= SCALAR_THRESHOLD:
             scalar_node(leader, others, pos, len(atoms_here))
         else:
             vector_node(leader, others, pos, len(atoms_here))
+        return False
 
     with span(
         span_name,
@@ -778,69 +829,27 @@ def boolean_generic_join_columnar(
     relevant: list[list[int]],
     counter: CostCounter | None = None,
 ) -> bool:
-    """Emptiness of the answer by columnar Generic Join, early-exiting
-    on the first witness.
+    """Emptiness of the answer by columnar Generic Join: a first-witness
+    sink that stops the lazy walk at its first answer.
 
-    The leader is walked run by run *without* galloping so every
-    examined candidate is charged, exactly as the naive engine does —
-    on empty answers both backends traverse (and charge) the same node
-    tree. Non-empty answers exit at a traversal-order-dependent point.
+    Called by :func:`repro.relational.wcoj.boolean_generic_join` after
+    shared validation. On empty answers the walk runs to the end and
+    charges exactly what :func:`generic_join_columnar` charges.
 
-    Complexity: O(N^rho*(H)) worst case (AGM bound), O(log N) per seek.
+    Complexity: O(N^rho*(H)) worst case (AGM bound), O(log N) per seek;
+    exits on the first satisfying assignment.
     """
-    cursors = _cursors(query, database, order)
-    registry = current_metrics()
-    candidate_hist = (
-        registry.histogram("wcoj.candidate_set_size")
-        if registry is not None
-        else None
+    emitted = _drive_generic_join(
+        query,
+        database,
+        order,
+        relevant,
+        counter,
+        lambda prefix, values: True,
+        span_name="boolean_generic_join",
+        lazy=True,
     )
-    nattrs = len(order)
-
-    def recurse(pos: int) -> bool:
-        if pos == nattrs:
-            return True
-        atoms_here = relevant[pos]
-        lead = atoms_here[0]
-        width = cursors[lead].hi - cursors[lead].lo
-        for i in atoms_here[1:]:
-            w = cursors[i].hi - cursors[i].lo
-            if w < width:
-                width = w
-                lead = i
-        if candidate_hist is not None:
-            candidate_hist.observe(width)
-        leader = cursors[lead]
-        others = [cursors[i] for i in atoms_here if i != lead]
-        values = leader.trie.ulist[leader.level]
-        for run in range(leader.lo, leader.hi):
-            charge(counter)
-            v = values[run]
-            seeks = []
-            for other in others:
-                ul = other.trie.ulist[other.level]
-                ix = bisect_left(ul, v, other.lo, other.hi)
-                if ix >= other.hi or ul[ix] != v:
-                    break
-                seeks.append((other, ix))
-            else:
-                charge(counter, len(atoms_here))
-                saved = [(other, _descend(other, ix)) for other, ix in seeks]
-                saved.append((leader, _descend(leader, run)))
-                if recurse(pos + 1):
-                    return True
-                for cur, (lvl, lo, hi) in saved:
-                    cur.level, cur.lo, cur.hi = lvl, lo, hi
-        return False
-
-    with span(
-        "boolean_generic_join",
-        counter=counter,
-        atoms=len(cursors),
-        attrs=nattrs,
-        backend="columnar",
-    ):
-        return recurse(0)
+    return emitted > 0
 
 
 # -- per-semiring vectorized segment folds -----------------------------

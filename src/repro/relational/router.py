@@ -1,33 +1,40 @@
-"""The query router: one entry point, four dichotomy-guided engines.
+"""The query router: one entry point, three dichotomy-guided engines.
 
 The paper's operational story is a case split — free-connex acyclic
 queries enumerate with constant delay from a factorized representation,
 α-acyclic queries evaluate in polynomial time by Yannakakis, everything
-else pays either the AGM-bound worst-case-optimal join (materialization)
-or the treewidth DP (counting). The resident query service
-(:mod:`repro.service`) serves every request through this module so each
-response can carry *which* branch of the dichotomy it took and what it
-cost — the per-request observability ROADMAP item 2 asks for.
+else pays the AGM-bound worst-case-optimal join. The resident query
+service (:mod:`repro.service`) serves every request through this
+module so each response can carry *which* branch of the dichotomy it
+took and what it cost.
 
 Route labels (stable API, persisted in responses and metrics):
 
 * ``"factorized"`` — free-connex d-representation
-  (:mod:`~repro.relational.factorized`), constant-delay enumeration or
-  sweep counting;
-* ``"yannakakis"`` — α-acyclic but not free-connex with the requested
-  projection: full join along the join tree, then project;
-* ``"wcoj"`` — cyclic (or boolean non-acyclic) instances: Generic Join
-  materialization at the AGM bound;
-* ``"treewidth-dp"`` — cyclic counting via the CSP translation and the
-  counting DP over a tree decomposition.
+  (:mod:`~repro.relational.factorized`), constant-delay enumeration;
+* ``"yannakakis"`` — α-acyclic: for ``enumerate`` when the projection
+  is not free-connex (full join along the join tree, then project),
+  and every acyclic value-mode request;
+* ``"wcoj"`` — cyclic: Generic Join at the AGM bound.
 
-``mode="aggregate"`` is the semiring generalization of the count/boolean
-split: the request names a registered :class:`~repro.relational.semiring.Semiring`
-and the router serves SumProd over the full answers — acyclic queries
-through the factorized d-rep sweep (:meth:`FactorizedResult.aggregate`),
-cyclic ones through :func:`~repro.relational.wcoj.generic_join_aggregate`.
-Counting and boolean are literally the counting/boolean instances of
-this mode; they keep their own labels for wire compatibility.
+Value modes. ``count``, ``boolean`` and ``aggregate`` are one
+evaluation problem with the semiring as a parameter (Fan–Koutris,
+PAPERS.md): ``count`` is a wire alias of ``aggregate`` over
+``counting`` and ``boolean`` of ``aggregate`` over ``boolean``. One
+route rule serves all three: α-acyclic queries go to ``yannakakis``
+(:func:`~repro.relational.yannakakis.semiring_yannakakis`, a
+sum-product DP along a join tree), cyclic ones to ``wcoj``
+(:func:`~repro.relational.wcoj.generic_join_aggregate`). Each response
+keeps its mode's field: ``count``, ``nonempty`` or ``aggregate``.
+
+Boolean short-circuit. When the semiring is annotation-free and its ⊕
+is idempotent (today only ``boolean``), every answer weighs ``one``
+and any number of them sums to ``one``, so SumProd is ``one`` exactly
+when an answer exists. The router then runs the first-witness engine
+of the same route — :func:`~repro.relational.yannakakis.boolean_yannakakis`
+or :func:`~repro.relational.wcoj.boolean_generic_join` — which stops
+at the first answer. The engines themselves stay full traversals, so
+their op counts do not depend on the semiring.
 
 Each decision is also recorded on the ambient metrics registry
 (``route.<label>`` counters, plus a ``semiring.<name>`` counter for
@@ -49,16 +56,19 @@ from .database import Database
 from .factorized import _validated_free, factorize, is_free_connex
 from .query import JoinQuery
 from .relation import Relation
-from .semiring import Semiring
+from .semiring import BOOLEAN, COUNTING, Semiring
 from .wcoj import boolean_generic_join, generic_join, generic_join_aggregate
-from .yannakakis import boolean_yannakakis, yannakakis
+from .yannakakis import boolean_yannakakis, semiring_yannakakis, yannakakis
 from .algebra import project
 
 #: Recognized request modes.
 MODES = ("enumerate", "count", "boolean", "aggregate")
 
 #: Recognized route labels, in dichotomy order.
-ROUTES = ("factorized", "yannakakis", "wcoj", "treewidth-dp")
+ROUTES = ("factorized", "yannakakis", "wcoj")
+
+#: The value modes that are wire aliases of ``aggregate``.
+ALIASES = {"count": COUNTING, "boolean": BOOLEAN}
 
 
 @dataclass(frozen=True)
@@ -74,9 +84,9 @@ class RouteDecision:
 class RoutedAnswer:
     """One routed evaluation: the decision plus the mode's result.
 
-    Exactly one of ``relation`` (enumerate), ``count`` (count), or
-    ``nonempty`` (boolean) is populated; ``ops`` is the operation total
-    charged while executing the route.
+    Exactly one of ``relation`` (enumerate), ``count`` (count),
+    ``nonempty`` (boolean) or ``aggregate`` is populated; ``ops`` is
+    the operation total charged while executing the route.
     """
 
     decision: RouteDecision
@@ -101,36 +111,19 @@ def decide_route(
         raise InvalidInstanceError(f"unknown mode {mode!r}; expected one of {MODES}")
     free_t = _validated_free(query, free)
     acyclic = is_alpha_acyclic(query.hypergraph())
-    if mode == "count":
-        if free_t != query.attributes:
+    if mode != "enumerate":
+        # Non-emptiness ignores projections; counts and folds do not.
+        if mode != "boolean" and free_t != query.attributes:
             raise InvalidInstanceError(
-                "count mode counts full answers; projections are not supported"
+                f"{mode} mode folds full answers; projections are not supported"
             )
         if acyclic:
             return RouteDecision(
-                "factorized", mode, "alpha-acyclic: sum/product sweep over the d-rep"
+                "yannakakis", mode, "alpha-acyclic: sum-product along a join tree"
             )
         return RouteDecision(
-            "treewidth-dp", mode, "cyclic: counting DP over a tree decomposition"
+            "wcoj", mode, "cyclic: generic join folding semiring values"
         )
-    if mode == "aggregate":
-        if free_t != query.attributes:
-            raise InvalidInstanceError(
-                "aggregate mode folds full answers; projections are not supported"
-            )
-        if acyclic:
-            return RouteDecision(
-                "factorized", mode, "alpha-acyclic: semiring sweep over the d-rep"
-            )
-        return RouteDecision(
-            "wcoj", mode, "cyclic: generic join accumulating semiring values"
-        )
-    if mode == "boolean":
-        if acyclic:
-            return RouteDecision(
-                "yannakakis", mode, "alpha-acyclic: upward semijoin sweep"
-            )
-        return RouteDecision("wcoj", mode, "cyclic: generic join, first witness")
     if acyclic and is_free_connex(query, free_t):
         return RouteDecision(
             "factorized", mode, "free-connex acyclic: linear-size d-representation"
@@ -159,8 +152,7 @@ def execute_route(
     ``route`` span) but never changes what is computed.
 
     Complexity: O(N^rho*(H)) worst case (the wcoj branch); O(‖D‖ · |A|)
-        on the factorized and yannakakis branches; O(|A| · N^{w+1}) on
-        the treewidth-dp branch.
+        on the factorized and yannakakis branches.
     """
     decision = decide_route(query, free=free, mode=mode)
     return run_route(
@@ -185,11 +177,11 @@ def run_route(
     keys on a database fingerprint to keep *routing statistics* honest).
 
     Complexity: O(N^rho*(H)) worst case (the wcoj branch); O(‖D‖ · |A|)
-        on the factorized and yannakakis branches; O(|A| · N^{w+1}) on
-        the treewidth-dp branch.
+        on the factorized and yannakakis branches.
     """
     mode = decision.mode
     free_t = _validated_free(query, free)
+    semiring = ALIASES.get(mode, semiring)
     if mode == "aggregate" and semiring is None:
         raise InvalidInstanceError("aggregate mode requires a semiring")
     counter = counter if counter is not None else CostCounter()
@@ -197,54 +189,37 @@ def run_route(
     inc(f"route.{decision.route}")
     if mode == "aggregate":
         inc(f"semiring.{semiring.name}")
+    join_tree = decision.route == "yannakakis"
     with span("route", counter=counter, route=decision.route, mode=mode):
         relation: Relation | None = None
-        count: int | None = None
-        nonempty: bool | None = None
-        aggregate: object | None = None
-        if mode == "aggregate":
-            if decision.route == "factorized":
-                aggregate = factorize(
-                    query, database, counter=counter
-                ).aggregate(semiring)
-            else:
-                aggregate = generic_join_aggregate(
-                    query, database, semiring, counter=counter
-                )
-        elif mode == "count":
-            if decision.route == "factorized":
-                count = factorize(query, database, counter=counter).count()
-            else:
-                from ..csp.treewidth_dp import count_with_treewidth
-                from ..reductions.query_to_csp import query_to_csp
-
-                if database.max_relation_size() == 0:
-                    count = 0
-                else:
-                    reduction = query_to_csp(query, database)
-                    count = count_with_treewidth(reduction.target, counter=counter)
-        elif mode == "boolean":
-            if decision.route == "yannakakis":
-                nonempty = boolean_yannakakis(query, database, counter=counter)
-            else:
-                nonempty = boolean_generic_join(query, database, counter=counter)
-        else:
+        value: object | None = None
+        if mode == "enumerate":
             if decision.route == "factorized":
                 relation = factorize(
                     query, database, free=free_t, counter=counter
                 ).materialize()
-            elif decision.route == "yannakakis":
+            elif join_tree:
                 relation = yannakakis(
                     query, database, counter=counter, project_to=free_t
                 )
             else:
                 answer = generic_join(query, database, counter=counter)
                 relation = project(answer, free_t, name="answer")
+        elif semiring.annotation_free and semiring.idempotent_add:
+            # The Boolean short-circuit: SumProd is `one` exactly when
+            # an answer exists, so the route's first witness decides it.
+            first_witness = boolean_yannakakis if join_tree else boolean_generic_join
+            found = first_witness(query, database, counter=counter)
+            value = semiring.one if found else semiring.zero
+        elif join_tree:
+            value = semiring_yannakakis(query, database, semiring, counter=counter)
+        else:
+            value = generic_join_aggregate(query, database, semiring, counter=counter)
     return RoutedAnswer(
         decision=decision,
         ops=counter.total - started,
         relation=relation,
-        count=count,
-        nonempty=nonempty,
-        aggregate=aggregate,
+        count=value if mode == "count" else None,
+        nonempty=value if mode == "boolean" else None,
+        aggregate=value if mode == "aggregate" else None,
     )

@@ -10,7 +10,8 @@ AGM bound — unlike any pairwise plan.
 The implementation indexes each atom's tuples by every prefix of the
 chosen attribute order (a hash-trie) and threads each atom's current
 trie node down the recursion, so candidate sets and filters are O(1)
-per probe — no per-probe re-walk from the trie root.
+per probe — no per-probe re-walk from the trie root. Materialization,
+semiring folding and first-witness search are sinks over that one walk.
 """
 
 from __future__ import annotations
@@ -27,36 +28,9 @@ from .kernels import (
     boolean_generic_join_columnar,
     generic_join_columnar,
 )
-from .query import Atom, JoinQuery
+from .query import JoinQuery
 from .relation import Relation, Value
 from .semiring import Semiring, annotation_positions, fold_tuple
-
-
-class _AtomIndex:
-    """Hash-trie over one atom's tuples, keyed in global attribute order.
-
-    The trie itself comes from the database's kernel-state cache keyed
-    by ``(relation name, column positions)`` and the relation's mutation
-    version, so repeated joins over an unchanged database reuse one
-    build instead of rebuilding per call.
-    """
-
-    def __init__(self, atom: Atom, database: Database, global_order: Sequence[str]) -> None:
-        # The atom's attributes sorted by their position in the global
-        # variable order; tuples are re-keyed accordingly.
-        self.ordered_attrs = [a for a in global_order if a in atom.attributes]
-        positions = tuple(atom.attributes.index(a) for a in self.ordered_attrs)
-        relation = database.relation(atom.relation_name)
-        self.root: dict = database.kernels.hash_trie(relation, positions)
-
-    def children(self, prefix: tuple[Value, ...]) -> dict | None:
-        """The trie node reached by ``prefix``, or None if absent."""
-        node = self.root
-        for v in prefix:
-            node = node.get(v)
-            if node is None:
-                return None
-        return node
 
 
 def _validate(
@@ -64,7 +38,7 @@ def _validate(
     database: Database,
     attribute_order: Sequence[str] | None,
 ) -> tuple[tuple[str, ...], list[list[int]]]:
-    """Shared validation for both entry points and both backends.
+    """Shared validation for every entry point and both backends.
 
     Raises :class:`SchemaError` when the order is not a permutation of
     the query's attributes or an ordered attribute occurs in no atom —
@@ -90,6 +64,97 @@ def _validate(
     return order, relevant
 
 
+def _walk(
+    query: JoinQuery,
+    database: Database,
+    order: tuple[str, ...],
+    relevant: list[list[int]],
+    counter: CostCounter | None,
+    sink,
+    span_name: str,
+) -> int:
+    """The naive backend's one Generic Join traversal.
+
+    Hands every answer to ``sink(prefix)`` — ``prefix`` the live list of
+    values bound for ``order`` (copy it to keep it). A sink that returns
+    a true value stops the walk. Materialization, semiring folding and
+    first-witness search are the three sinks over this one traversal,
+    which is what keeps their charge streams identical unit for unit:
+    one per candidate examined, per trie-edge descent and per answer.
+    The walk examines candidates one at a time, so a stopped walk pays
+    only for what it examined. Returns the number of answers emitted.
+    """
+    # Each atom's current trie node, threaded down the recursion: an
+    # atom's node always sits at depth = number of its own attributes
+    # bound so far, so extending a binding is a single O(1) dict hop
+    # (charged below) instead of an O(depth) re-walk from the root. The
+    # tries come from the database's kernel-state cache, keyed by
+    # (relation, column positions) and the relation's version.
+    nodes: list[dict] = []
+    for atom in query.atoms:
+        positions = tuple(
+            atom.attributes.index(a) for a in order if a in atom.attributes
+        )
+        relation = database.relation(atom.relation_name)
+        nodes.append(database.kernels.hash_trie(relation, positions))
+
+    # Distribution instrumentation (no-op outside the experiment
+    # runtime): probes charged between consecutive answers, and the
+    # size of the smallest candidate set at each trie descent. Ngo's
+    # survey point: a WCOJ execution is certified by the *distribution*
+    # of probes per answer staying flat, not by the total.
+    registry = current_metrics()
+    probe_hist = candidate_hist = None
+    if registry is not None:
+        probe_hist = registry.histogram("wcoj.probes_per_answer", SMALL_BUCKETS)
+        candidate_hist = registry.histogram("wcoj.candidate_set_size")
+        registry.counter("wcoj.joins").inc()
+    nattrs = len(order)
+    prefix: list[Value] = []
+    probes_since_answer = 0
+    emitted = 0
+
+    def recurse(pos: int) -> bool:
+        """Walk the subtree below ``pos``; True once the sink stopped."""
+        nonlocal probes_since_answer, emitted
+        if pos == nattrs:
+            charge(counter)
+            emitted += 1
+            if probe_hist is not None:
+                probe_hist.observe(probes_since_answer)
+                probes_since_answer = 0
+            return bool(sink(prefix))
+        atoms_here = relevant[pos]
+        # Candidate sets: children of each relevant atom's current node.
+        # Intersect, iterating the smallest set and probing the rest.
+        candidate_nodes = sorted((nodes[i] for i in atoms_here), key=len)
+        smallest, rest = candidate_nodes[0], candidate_nodes[1:]
+        if candidate_hist is not None:
+            candidate_hist.observe(len(smallest))
+        for value in smallest:
+            charge(counter)
+            probes_since_answer += 1
+            if all(value in other for other in rest):
+                saved = [nodes[i] for i in atoms_here]
+                for i in atoms_here:
+                    charge(counter)
+                    nodes[i] = nodes[i][value]
+                prefix.append(value)
+                stopped = recurse(pos + 1)
+                prefix.pop()
+                for i, node in zip(atoms_here, saved):
+                    nodes[i] = node
+                if stopped:
+                    return True
+        return False
+
+    with span(span_name, counter=counter, atoms=len(nodes), attrs=nattrs):
+        recurse(0)
+    if registry is not None:
+        registry.counter("wcoj.answers").inc(emitted)
+    return emitted
+
+
 def generic_join(
     query: JoinQuery,
     database: Database,
@@ -111,65 +176,12 @@ def generic_join(
     order, relevant = _validate(query, database, attribute_order)
     if database.backend == "columnar":
         return generic_join_columnar(query, database, order, relevant, counter)
-    indexes = [_AtomIndex(atom, database, order) for atom in query.atoms]
-
-    # Distribution instrumentation (no-op outside the experiment
-    # runtime): probes charged between consecutive answers, and the
-    # size of the smallest candidate set at each trie descent. Ngo's
-    # survey point: a WCOJ execution is certified by the *distribution*
-    # of probes per answer staying flat, not by the total.
-    registry = current_metrics()
-    probe_hist = candidate_hist = None
-    if registry is not None:
-        probe_hist = registry.histogram("wcoj.probes_per_answer", SMALL_BUCKETS)
-        candidate_hist = registry.histogram("wcoj.candidate_set_size")
-        registry.counter("wcoj.joins").inc()
-    probes_since_answer = 0
-
     answer = Relation("answer", order)
-    assignment: dict[str, Value] = {}
-    # Each atom's current trie node, threaded down the recursion: an
-    # atom's node always sits at depth = number of its own attributes
-    # bound so far, so extending a binding is a single O(1) dict hop
-    # (charged below) instead of an O(depth) re-walk from the root.
-    nodes: list[dict] = [index.root for index in indexes]
 
-    def recurse(pos: int) -> None:
-        nonlocal probes_since_answer
-        if pos == len(order):
-            answer.add(tuple(assignment[a] for a in order))
-            charge(counter)
-            if probe_hist is not None:
-                probe_hist.observe(probes_since_answer)
-                probes_since_answer = 0
-            return
-        attr = order[pos]
-        atoms_here = relevant[pos]
+    def sink(prefix: list[Value]) -> None:
+        answer.add(prefix)
 
-        # Candidate sets: children of each relevant atom's current node.
-        # Intersect, iterating the smallest set and probing the rest.
-        candidate_nodes = sorted((nodes[i] for i in atoms_here), key=len)
-        smallest, rest = candidate_nodes[0], candidate_nodes[1:]
-        if candidate_hist is not None:
-            candidate_hist.observe(len(smallest))
-        for value in smallest:
-            charge(counter)
-            probes_since_answer += 1
-            if all(value in other for other in rest):
-                assignment[attr] = value
-                saved = [nodes[i] for i in atoms_here]
-                for i in atoms_here:
-                    charge(counter)
-                    nodes[i] = nodes[i][value]
-                recurse(pos + 1)
-                for i, node in zip(atoms_here, saved):
-                    nodes[i] = node
-                del assignment[attr]
-
-    with span("generic_join", counter=counter, atoms=len(indexes), attrs=len(order)):
-        recurse(0)
-    if registry is not None:
-        registry.counter("wcoj.answers").inc(len(answer))
+    _walk(query, database, order, relevant, counter, sink, "generic_join")
     return answer
 
 
@@ -209,68 +221,20 @@ def generic_join_aggregate(
         return aggregate_columnar(
             query, database, semiring, order, relevant, counter, annotate
         )
-    indexes = [_AtomIndex(atom, database, order) for atom in query.atoms]
     plan = annotation_positions(query, order)
     trivial = annotate is None and semiring.annotation_free
     add = semiring.add
     one = semiring.one
     acc = semiring.zero
 
-    registry = current_metrics()
-    probe_hist = candidate_hist = None
-    if registry is not None:
-        probe_hist = registry.histogram("wcoj.probes_per_answer", SMALL_BUCKETS)
-        candidate_hist = registry.histogram("wcoj.candidate_set_size")
-        registry.counter("wcoj.joins").inc()
-    probes_since_answer = 0
-    answers = 0
+    def sink(prefix: list[Value]) -> None:
+        nonlocal acc
+        if trivial:
+            acc = add(acc, one)
+        else:
+            acc = add(acc, fold_tuple(semiring, plan, tuple(prefix), annotate))
 
-    prefix: list[Value] = []
-    nodes: list[dict] = [index.root for index in indexes]
-
-    def recurse(pos: int) -> None:
-        nonlocal probes_since_answer, acc, answers
-        if pos == len(order):
-            charge(counter)
-            answers += 1
-            if trivial:
-                acc = add(acc, one)
-            else:
-                acc = add(
-                    acc, fold_tuple(semiring, plan, tuple(prefix), annotate)
-                )
-            if probe_hist is not None:
-                probe_hist.observe(probes_since_answer)
-                probes_since_answer = 0
-            return
-        atoms_here = relevant[pos]
-        candidate_nodes = sorted((nodes[i] for i in atoms_here), key=len)
-        smallest, rest = candidate_nodes[0], candidate_nodes[1:]
-        if candidate_hist is not None:
-            candidate_hist.observe(len(smallest))
-        for value in smallest:
-            charge(counter)
-            probes_since_answer += 1
-            if all(value in other for other in rest):
-                saved = [nodes[i] for i in atoms_here]
-                for i in atoms_here:
-                    charge(counter)
-                    nodes[i] = nodes[i][value]
-                prefix.append(value)
-                recurse(pos + 1)
-                prefix.pop()
-                for i, node in zip(atoms_here, saved):
-                    nodes[i] = node
-
-    with span(
-        "generic_join_aggregate",
-        counter=counter,
-        atoms=len(indexes),
-        attrs=len(order),
-    ):
-        recurse(0)
-    if registry is not None:
-        registry.counter("wcoj.answers").inc(answers)
+    _walk(query, database, order, relevant, counter, sink, "generic_join_aggregate")
     return acc
 
 
@@ -281,7 +245,12 @@ def boolean_generic_join(
     counter: CostCounter | None = None,
 ) -> bool:
     """Decide emptiness of the answer (Boolean Join Query) by Generic
-    Join with early exit on the first witness.
+    Join with early exit on the first witness: a sink that stops the
+    walk at its first answer.
+
+    On empty answers the walk runs to the end and charges exactly what
+    :func:`generic_join` charges; otherwise it charges only the
+    candidates examined up to the witness.
 
     Complexity: O(N^rho*(H)) worst case (AGM bound), O(1) per probe;
     exits on the first satisfying assignment.
@@ -289,38 +258,13 @@ def boolean_generic_join(
     order, relevant = _validate(query, database, attribute_order)
     if database.backend == "columnar":
         return boolean_generic_join_columnar(query, database, order, relevant, counter)
-    indexes = [_AtomIndex(atom, database, order) for atom in query.atoms]
-    registry = current_metrics()
-    candidate_hist = (
-        registry.histogram("wcoj.candidate_set_size") if registry is not None else None
+    emitted = _walk(
+        query,
+        database,
+        order,
+        relevant,
+        counter,
+        lambda prefix: True,
+        "boolean_generic_join",
     )
-    assignment: dict[str, Value] = {}
-    nodes: list[dict] = [index.root for index in indexes]
-
-    def recurse(pos: int) -> bool:
-        if pos == len(order):
-            return True
-        atoms_here = relevant[pos]
-        candidate_nodes = sorted((nodes[i] for i in atoms_here), key=len)
-        smallest, rest = candidate_nodes[0], candidate_nodes[1:]
-        if candidate_hist is not None:
-            candidate_hist.observe(len(smallest))
-        for value in smallest:
-            charge(counter)
-            if all(value in other for other in rest):
-                assignment[order[pos]] = value
-                saved = [nodes[i] for i in atoms_here]
-                for i in atoms_here:
-                    charge(counter)
-                    nodes[i] = nodes[i][value]
-                if recurse(pos + 1):
-                    return True
-                for i, node in zip(atoms_here, saved):
-                    nodes[i] = node
-                del assignment[order[pos]]
-        return False
-
-    with span(
-        "boolean_generic_join", counter=counter, atoms=len(indexes), attrs=len(order)
-    ):
-        return recurse(0)
+    return emitted > 0

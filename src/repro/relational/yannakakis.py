@@ -349,9 +349,3 @@ def semiring_yannakakis(
         result = mul(result, kernels.segment_fold(semiring, totals, starts)[0])
     return result
 
-
-def _topological_leaves_first(
-    children: dict[int, list[int]], roots: list[int]
-) -> list[int]:
-    """Back-compat alias for :func:`leaves_first`."""
-    return leaves_first(children, roots)

@@ -7,12 +7,13 @@ runs inside a fresh request-scoped
 :class:`~repro.observability.tracing.TraceContext` and
 :class:`~repro.observability.metrics.MetricsRegistry`, so each
 response carries its route decision
-(``factorized``/``yannakakis``/``wcoj``/``treewidth-dp``), its op
-count, and an exportable chrome-trace span tree — while the
-service-lifetime telemetry layer aggregates rolling latency
-histograms (p50/p95/p99 per endpoint and per route), plan-cache
-hit/miss/eviction counters, admission-control gauges, and a
-slow-query log, all rendered live by the ``/dashboard`` endpoint.
+(``factorized``/``yannakakis``/``wcoj``; the ``count``, ``boolean``
+and ``aggregate`` value modes share one rule, α-acyclic → ``yannakakis``
+and cyclic → ``wcoj``), its op count, and an exportable chrome-trace
+span tree — while the service-lifetime telemetry layer aggregates
+rolling latency histograms (p50/p95/p99 per endpoint and per route),
+plan-cache hit/miss/eviction counters, admission-control gauges, and
+a slow-query log, all rendered live by the ``/dashboard`` endpoint.
 
 For multi-core serving, ``--workers N`` shards the store across warm
 worker processes (:class:`~repro.service.executor.ShardedExecutor`)

@@ -76,6 +76,21 @@ __all__ = [
 TRACE_SCHEMA = "repro-service-trace/v1"
 
 
+def _require_list(value, what: str, item: type | None = None) -> None:
+    """Raise :class:`SchemaError` unless ``value`` is a JSON list (of
+    ``item`` values, if given).
+
+    A string iterates like a list (``tuple("xy") == ("x", "y")``), so
+    the decoders check shapes here instead of coercing with ``tuple``.
+    """
+    if isinstance(value, list) and (
+        item is None or all(isinstance(v, item) for v in value)
+    ):
+        return
+    shape = "a list" if item is None else f"a list of {item.__name__} values"
+    raise SchemaError(f"{what} must be {shape}, got {value!r}")
+
+
 def query_from_payload(payload: dict) -> JoinQuery:
     """Build a :class:`JoinQuery` from a request's ``atoms`` list."""
     atoms_payload = payload.get("atoms")
@@ -90,6 +105,7 @@ def query_from_payload(payload: dict) -> JoinQuery:
             attributes = entry["attributes"]
         except KeyError as missing:
             raise SchemaError(f"atom entry missing key {missing}") from missing
+        _require_list(attributes, "atom 'attributes'", str)
         atoms.append(Atom(relation, tuple(attributes)))
     return JoinQuery(atoms)
 
@@ -119,6 +135,8 @@ def csp_from_payload(payload: dict) -> CSPInstance:
             allowed = entry["allowed"]
         except KeyError as missing:
             raise SchemaError(f"constraint entry missing key {missing}") from missing
+        _require_list(scope, "constraint 'scope'")
+        _require_list(allowed, "constraint 'allowed'", list)
         constraints.append(Constraint(tuple(scope), (tuple(t) for t in allowed)))
         for variable in scope:
             if variable not in seen:
@@ -412,6 +430,8 @@ class QueryService:
             raise SchemaError("query payload needs a string 'database'")
         mode = payload.get("mode", "enumerate")
         free = payload.get("free")
+        if free is not None:
+            _require_list(free, "query 'free'", str)
         semiring_name = payload.get("semiring")
         if semiring_name is not None and mode != "aggregate":
             raise SchemaError(

@@ -6,7 +6,8 @@ axioms plus the declared idempotence/absorption flags on
 annotation-reachable values, and the repo-wide invariant that for
 every (semiring, engine, backend) triple, aggregating through the
 generic core is byte-identical to materializing the full answer and
-folding it flat.
+folding it flat. It also pins the router's value modes: ``count`` and
+``boolean`` are aliases of ``aggregate`` and share its route.
 """
 
 from hypothesis import given, settings
@@ -16,7 +17,8 @@ from repro.counting import CostCounter
 from repro.generators.agm import uniform_random_database
 from repro.relational.factorized import factorize
 from repro.relational.query import JoinQuery
-from repro.relational.semiring import all_semirings, get_semiring
+from repro.relational.router import execute_route
+from repro.relational.semiring import BOOLEAN, COUNTING, all_semirings, get_semiring
 from repro.relational.wcoj import generic_join, generic_join_aggregate
 from repro.relational.yannakakis import semiring_yannakakis
 
@@ -111,6 +113,30 @@ def test_op_counts_are_semiring_independent(shape, size, domain, seed):
         generic_join_aggregate(query, database, get_semiring(name), counter=counter)
         totals.add(counter.total)
     assert len(totals) == 1
+
+
+@given(
+    shape=st.sampled_from(sorted(SHAPES)),
+    size=st.integers(1, 20),
+    domain=st.integers(1, 6),
+    seed=st.integers(0, 10**6),
+)
+@settings(max_examples=40, deadline=None)
+def test_value_modes_are_aggregate_aliases_on_one_route(shape, size, domain, seed):
+    query = SHAPES[shape]()
+    naive = uniform_random_database(query, size, domain, seed=seed)
+    route = "yannakakis" if shape in ACYCLIC else "wcoj"
+    for database in (naive, naive.with_backend("columnar")):
+        expected = len(generic_join(query, database))
+        count = execute_route(query, database, mode="count")
+        counted = execute_route(query, database, mode="aggregate", semiring=COUNTING)
+        boolean = execute_route(query, database, mode="boolean")
+        decided = execute_route(query, database, mode="aggregate", semiring=BOOLEAN)
+        assert count.count == counted.aggregate == expected
+        assert boolean.nonempty is decided.aggregate is (expected > 0)
+        assert count.ops == counted.ops and boolean.ops == decided.ops
+        answers = (count, counted, boolean, decided)
+        assert {answer.decision.route for answer in answers} == {route}
 
 
 # -- the semiring axioms on annotation-reachable values ----------------

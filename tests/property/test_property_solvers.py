@@ -9,9 +9,9 @@ from repro.csp.bruteforce import count_bruteforce, solve_bruteforce
 from repro.csp.instance import Constraint, CSPInstance
 from repro.csp.sat_encoding import solve_via_sat
 from repro.generators.agm import uniform_random_database
-from repro.relational.counting_answers import count_answers
 from repro.relational.enumeration import enumerate_acyclic, enumerate_nested_loop
 from repro.relational.query import JoinQuery
+from repro.relational.router import execute_route
 from repro.relational.wcoj import generic_join
 from repro.sat.cdcl import solve_cdcl
 from repro.sat.cnf import CNF
@@ -108,4 +108,4 @@ class TestEnumerationProperties:
         assert set(acyclic) == expected
         assert set(naive) == expected
         assert len(acyclic) == len(expected)
-        assert count_answers(query, database) == len(expected)
+        assert execute_route(query, database, mode="count").count == len(expected)

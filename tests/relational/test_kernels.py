@@ -7,6 +7,7 @@ from repro.counting import CostCounter
 from repro.errors import SchemaError
 from repro.relational.database import Database
 from repro.relational.kernels import (
+    SCALAR_THRESHOLD,
     Interner,
     KernelState,
     SortedTrieIndex,
@@ -18,7 +19,7 @@ from repro.relational.kernels import (
 )
 from repro.relational.query import Atom, JoinQuery
 from repro.relational.relation import Relation
-from repro.relational.wcoj import generic_join
+from repro.relational.wcoj import boolean_generic_join, generic_join
 
 
 def test_interner_is_stable_and_dense():
@@ -190,3 +191,41 @@ def test_single_attribute_atoms():
     col = generic_join(query, db.with_backend("columnar"), counter=c2)
     assert sorted(naive.tuples) == sorted(col.tuples) == [(2,), (3,)]
     assert c1.total == c2.total
+
+
+def _diagonal_triangle(width: int, shift: int) -> Database:
+    """Triangle data on ``width`` root values; every root value closes a
+    triangle when ``shift`` is 0 and none does otherwise."""
+    diagonal = [(i, i) for i in range(width)]
+    return Database(
+        [
+            Relation("R1", ("x", "y"), diagonal),
+            Relation("R2", ("x", "y"), diagonal),
+            Relation("R3", ("x", "y"), [(i, i + shift) for i in range(width)]),
+        ]
+    )
+
+
+def test_first_witness_walk_charges_only_what_it_examines():
+    # The root is wide enough for the batched walk's vector path, which
+    # lists (and charges) every root candidate before descending; the
+    # first-witness walk stops inside its first root candidate.
+    width = 2 * SCALAR_THRESHOLD
+    query = JoinQuery.triangle()
+    columnar = _diagonal_triangle(width, shift=0).with_backend("columnar")
+    counter = CostCounter()
+    assert boolean_generic_join(query, columnar, counter=counter)
+    assert counter.total < width
+    full = CostCounter()
+    generic_join(query, columnar, counter=full)
+    assert full.total > width
+
+
+def test_first_witness_walk_on_empty_answer_charges_the_full_walk():
+    query = JoinQuery.triangle()
+    db = _diagonal_triangle(2 * SCALAR_THRESHOLD, shift=1)
+    for database in (db, db.with_backend("columnar")):
+        c_first, c_full = CostCounter(), CostCounter()
+        assert not boolean_generic_join(query, database, counter=c_first)
+        assert not generic_join(query, database, counter=c_full).tuples
+        assert c_first.total == c_full.total > 0

@@ -10,7 +10,7 @@ from repro.observability.tracing import TraceContext, activate
 from repro.relational.algebra import project
 from repro.relational.factorized import factorize
 from repro.relational.query import JoinQuery
-from repro.relational.router import decide_route, execute_route, run_route
+from repro.relational.router import ROUTES, decide_route, execute_route, run_route
 from repro.relational.wcoj import generic_join
 
 
@@ -34,10 +34,23 @@ class TestDecideRoute:
         assert "not free-connex" in decision.reason
 
     def test_count_dichotomy(self):
-        assert decide_route(JoinQuery.path(3), mode="count").route == "factorized"
-        assert (
-            decide_route(JoinQuery.triangle(), mode="count").route == "treewidth-dp"
-        )
+        assert decide_route(JoinQuery.path(3), mode="count").route == "yannakakis"
+        assert decide_route(JoinQuery.triangle(), mode="count").route == "wcoj"
+
+    def test_value_modes_share_one_route_rule(self):
+        assert ROUTES == ("factorized", "yannakakis", "wcoj")
+        for query, route in (
+            (JoinQuery.path(3), "yannakakis"),
+            (JoinQuery.star(3), "yannakakis"),
+            (JoinQuery.triangle(), "wcoj"),
+            (JoinQuery.cycle(7), "wcoj"),
+        ):
+            decisions = [
+                decide_route(query, mode=mode)
+                for mode in ("count", "boolean", "aggregate")
+            ]
+            assert {d.route for d in decisions} == {route}
+            assert len({d.reason for d in decisions}) == 1
 
     def test_boolean_dichotomy(self):
         assert decide_route(JoinQuery.path(3), mode="boolean").route == "yannakakis"

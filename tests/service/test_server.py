@@ -92,7 +92,7 @@ class TestQueryEndpoint:
             __, bool_payload = await client.query(
                 "demo", PATH_ATOMS, mode="boolean"
             )
-            assert count_payload["route"] == "treewidth-dp"
+            assert count_payload["route"] == "wcoj"
             assert bool_payload["route"] == "yannakakis"
             assert isinstance(count_payload["count"], int)
             assert bool_payload["nonempty"] is True
@@ -134,6 +134,38 @@ class TestQueryEndpoint:
             metrics = await client.get_json("/metrics")
             # Three 400s plus the 404 all count as rejected.
             assert metrics["telemetry"]["counters"]["requests.rejected"] == 4
+            return None
+
+        run_service(body)
+
+
+class TestStringShapedLists:
+    """A string iterates like a list of its characters; the decoders
+    reject it instead of reading ``"xy"`` as ``["x", "y"]``."""
+
+    def test_string_attributes_are_400(self):
+        async def body(service, host, port, client):
+            status, payload = await client.request(
+                "POST",
+                "/query",
+                {"database": "demo", "atoms": [{"relation": "R1", "attributes": "xy"}]},
+            )
+            assert status == 400 and "'attributes'" in payload["error"]
+            return None
+
+        run_service(body)
+
+    def test_string_free_is_400(self):
+        async def body(service, host, port, client):
+            atoms = [{"relation": "R1", "attributes": ["x", "y"]}]
+            status, payload = await client.request(
+                "POST", "/query", {"database": "demo", "atoms": atoms, "free": "x"}
+            )
+            assert status == 400 and "'free'" in payload["error"]
+            status, payload = await client.request(
+                "POST", "/query", {"database": "demo", "atoms": atoms, "free": ["x"]}
+            )
+            assert status == 200 and payload["free"] == ["x"]
             return None
 
         run_service(body)

@@ -94,6 +94,27 @@ class TestSolveEndpoint:
 
         run_service(body)
 
+    def test_string_scope_is_400(self):
+        async def body(service, client):
+            status, payload = await client.solve(
+                [0, 1], [{"scope": "xy", "allowed": NEQ}]
+            )
+            assert status == 400 and "'scope'" in payload["error"]
+            return None
+
+        run_service(body)
+
+    def test_string_allowed_rows_are_400(self):
+        async def body(service, client):
+            for allowed in ("01", ["01", "10"]):
+                status, payload = await client.solve(
+                    ["0", "1"], [{"scope": ["x", "y"], "allowed": allowed}]
+                )
+                assert status == 400 and "'allowed'" in payload["error"]
+            return None
+
+        run_service(body)
+
     def test_solve_shares_admission_and_observability(self):
         async def body(service, client):
             await client.solve([0, 1], PATH_CONSTRAINTS)
