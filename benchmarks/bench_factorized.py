@@ -7,7 +7,10 @@ d-representation and reads the count off it. The wall-clock ratio
 therefore *grows* with n — an asymptotic win, not a constant factor —
 while the measured enumeration delay stays flat and the materialized
 answers stay byte-identical across all three paths (naive Yannakakis,
-columnar Yannakakis, factorized).
+columnar Yannakakis, factorized). Each row also times the bulk
+``materialize()`` against draining the constant-delay ``enumerate()``
+walk: both give byte-identical answers, and the bulk path must never be
+slower at the largest size.
 
 Results are merged into ``BENCH_kernels.json`` under the
 ``factorized_sweep`` key (read-modify-write, so the E3 sweep data is
@@ -79,6 +82,7 @@ def test_factorized_never_slower_on_free_connex_sweep():
     rows = []
     ratios = {}
     delays = {}
+    materialize_times = {}
     for n in sizes:
         naive_db = _hub_database(n)
         columnar_db = naive_db.with_backend("columnar")
@@ -90,13 +94,18 @@ def test_factorized_never_slower_on_free_connex_sweep():
             repeats, lambda: factorize(QUERY, naive_db)
         )
         count_seconds, count = _best_of(repeats, factorized.count)
+        materialize_seconds, bulk = _best_of(repeats, factorized.materialize)
+        enumerate_seconds, walked = _best_of(
+            repeats, lambda: set(factorized.enumerate())
+        )
 
         # Byte-identical answers across naive flat, columnar flat, and
         # the factorized materialization.
         flat_bytes = repr(sorted(flat_answer.tuples)).encode()
         naive_flat = yannakakis(QUERY, naive_db)
         assert repr(sorted(naive_flat.tuples)).encode() == flat_bytes
-        assert repr(sorted(factorized.materialize().tuples)).encode() == flat_bytes
+        assert repr(sorted(bulk.tuples)).encode() == flat_bytes
+        assert repr(sorted(walked)).encode() == flat_bytes
         assert count == len(flat_answer) == n * n
 
         # Backend parity of the factorized build itself (op counts).
@@ -114,6 +123,7 @@ def test_factorized_never_slower_on_free_connex_sweep():
 
         ratio = flat_seconds / (fact_seconds + count_seconds)
         ratios[n] = ratio
+        materialize_times[n] = (materialize_seconds, enumerate_seconds)
         rows.append(
             {
                 "experiment": "E21-factorized",
@@ -124,6 +134,8 @@ def test_factorized_never_slower_on_free_connex_sweep():
                 "flat_seconds": flat_seconds,
                 "factorize_seconds": fact_seconds,
                 "count_seconds": count_seconds,
+                "materialize_seconds": materialize_seconds,
+                "enumerate_seconds": enumerate_seconds,
                 "ratio": ratio,
                 "max_delay": profile.max_delay,
             }
@@ -141,6 +153,11 @@ def test_factorized_never_slower_on_free_connex_sweep():
     assert ratios[largest] >= min_ratio, (
         f"factorized ratio {ratios[largest]:.2f}x at n={largest} below "
         f"required {min_ratio}x (see {out_path})"
+    )
+    bulk_seconds, walk_seconds = materialize_times[largest]
+    assert bulk_seconds <= walk_seconds, (
+        f"bulk materialize {bulk_seconds:.4f}s slower than draining "
+        f"enumerate() {walk_seconds:.4f}s at n={largest}"
     )
 
     sweep = {
@@ -169,5 +186,7 @@ def test_factorized_never_slower_on_free_connex_sweep():
         print(
             f"n={n}: flat {rows[sizes.index(n)]['flat_seconds']:.4f}s, "
             f"factorized+count {rows[sizes.index(n)]['factorize_seconds'] + rows[sizes.index(n)]['count_seconds']:.4f}s, "
-            f"ratio {ratios[n]:.2f}x, max_delay {delays[n]}"
+            f"ratio {ratios[n]:.2f}x, max_delay {delays[n]}, "
+            f"materialize {materialize_times[n][0]:.4f}s vs "
+            f"enumerate {materialize_times[n][1]:.4f}s"
         )

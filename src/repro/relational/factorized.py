@@ -40,15 +40,16 @@ Construction sketch (all steps charged to the ``CostCounter``):
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from ..counting import CostCounter, charge
 from ..errors import InvalidInstanceError, SchemaError
 from ..hypergraph.acyclicity import is_alpha_acyclic, join_tree
 from ..hypergraph.hypergraph import Hypergraph
 from ..observability.metrics import SMALL_BUCKETS, inc, observe
-from .algebra import project, semijoin
+from .algebra import project
 from .database import Database
 from .query import JoinQuery
 from .relation import Relation, Value
@@ -162,6 +163,58 @@ def _dag_count(root) -> int:
         return total
 
     return walk(root)
+
+
+def _getter(positions: Sequence[int]) -> Callable[[tuple], tuple]:
+    """``row -> tuple(row[p] for p in positions)`` at C speed."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        (p,) = positions
+        return lambda row: (row[p],)
+    return lambda row: ()
+
+
+def _expand(state: _AggState, free: tuple[str, ...]) -> Iterable[tuple]:
+    """The answer tuples of the reduced derived query, in ``free`` order.
+
+    Per root of the derived join forest, starts from the root
+    projection's tuples and extends every partial tuple, parents before
+    children, by the fresh attributes of the child bucket its key
+    selects; the roots' answers then combine by cross product. Full
+    reduction made the projections globally consistent, so every key
+    finds its bucket and every partial tuple extends. Fresh attributes
+    are new to the partial tuple: by running intersection, a child
+    shares with the nodes above it only its parent's attributes, which
+    are its key.
+    """
+    projections, buckets = state.projections, state.buckets
+    key_attrs, g_children = state.key_attrs, state.g_children
+    parts: list[tuple[tuple[str, ...], list[tuple]]] = []
+    for r in state.g_roots:
+        attrs = projections[r].attributes
+        rows = list(projections[r].tuples)
+        stack = list(g_children[r])
+        while stack:
+            c = stack.pop()
+            stack.extend(g_children[c])
+            rel = projections[c]
+            fresh = tuple(a for a in rel.attributes if a not in key_attrs[c])
+            tail_of = _getter([rel.position(a) for a in fresh])
+            tails = {
+                key: [tail_of(t) for t in group] for key, group in buckets[c].items()
+            }
+            key_of = _getter([attrs.index(a) for a in key_attrs[c]])
+            rows = [row + tail for row in rows for tail in tails[key_of(row)]]
+            attrs += fresh
+        parts.append((attrs, rows))
+    attrs, rows = parts[0]
+    for more_attrs, more_rows in parts[1:]:
+        rows = [row + more for row in rows for more in more_rows]
+        attrs += more_attrs
+    if attrs == free:
+        return rows
+    return map(_getter([attrs.index(a) for a in free]), rows)
 
 
 @dataclass
@@ -339,10 +392,25 @@ class FactorizedResult:
             yield tuple(assignment[a] for a in self.free)
 
     def materialize(self, name: str = "answer") -> Relation:
-        """Flatten into an ordinary :class:`Relation` over ``free``."""
+        """Flatten into an ordinary :class:`Relation` over ``free``.
+
+        On the factorized path this expands the reduced derived query
+        kept from the build (:func:`_expand`) instead of walking the
+        d-representation. Like :meth:`count`, it charges nothing and
+        observes nothing; :meth:`enumerate` stays the constant-delay
+        walk, and a result built without state drains it.
+
+        Complexity: O(|answer| · |free|) on the factorized path.
+        """
         if self._flat is not None:
             return Relation(name, self.free, self._flat.tuples)
-        return Relation(name, self.free, self.enumerate())
+        state = self._state
+        if state is None or state.projections is None:
+            return Relation(name, self.free, self.enumerate())
+        out = Relation(name, self.free)
+        out.tuples.update(_expand(state, self.free))
+        out.version += 1
+        return out
 
 
 # -- eligibility ------------------------------------------------------
@@ -476,13 +544,6 @@ def factorize(
         downward=False,
     )
     relations = forest.relations
-    if columnar:
-        relations = [
-            kernels.to_relation(
-                view, database.kernels.interner, query.atoms[i].relation_name
-            )
-            for i, view in enumerate(relations)
-        ]
     inc("factorized.builds")
 
     # Guard components (no free variables): empty root ⇒ empty answer.
@@ -493,12 +554,15 @@ def factorize(
     # Derived full query over the free variables: one projection per
     # depth-1 atom. Its hypergraph is α-acyclic again (the flattening
     # step of the free-connex construction), so a standard full reducer
-    # makes every projection globally consistent.
+    # makes every projection globally consistent. The columnar backend
+    # reduces it on views and decodes only the reduced projections.
     interfaces = [
         tuple(a for a in free_t if a in relations[t].attributes) for t in tops
     ]
     projections = [
-        project(relations[t], interfaces[j], name=f"A{j}")
+        kernels.project_view(relations[t], interfaces[j])
+        if columnar
+        else project(relations[t], interfaces[j], name=f"A{j}")
         for j, t in enumerate(tops)
     ]
     if not projections:
@@ -512,10 +576,15 @@ def factorize(
         len(projections), join_tree(derived)
     )
     semijoin_reduce(
-        projections, g_children, g_roots, semijoin, counter, downward=True
+        projections, g_children, g_roots, forest.semi, counter, downward=True
     )
     if any(len(rel) == 0 for rel in projections):
         return _empty_result(free_t)
+    if columnar:
+        projections = [
+            kernels.to_relation(view, database.kernels.interner, f"A{j}")
+            for j, view in enumerate(projections)
+        ]
 
     # Fold into the union/product DAG, memoized per (atom, parent-key).
     key_attrs: list[tuple[str, ...]] = []

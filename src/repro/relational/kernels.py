@@ -19,7 +19,10 @@ probe. This module is the alternative *representation* selected by
   with a leapfrog/galloping k-way intersection (binary-search seeks
   from the smallest-set leader, batched through numpy for wide nodes);
 * :func:`pairwise_join` / :func:`semijoin` are single-pass vectorized
-  equivalents of the hash-join and semijoin kernels;
+  equivalents of the hash-join and semijoin kernels; views are
+  duplicate-free throughout, so a join returns its gathered rows as
+  they are and only :func:`project_view` deduplicates, on one packed
+  ``int64`` key per row;
 * :class:`KernelState` memoizes every table/trie on the database keyed
   by ``(relation, column order)`` and the relation's mutation
   ``version``, so indexes are built once and reused across subqueries,
@@ -258,6 +261,11 @@ class TableView:
     Views are cheap: renaming an atom's columns to query attributes is
     relabeling, and column selection is a numpy slice of the cached
     table — no per-tuple work until a final :func:`to_relation`.
+
+    Every view is duplicate-free: atoms never repeat an attribute,
+    tables come from set-semantics relations, :func:`semijoin` keeps a
+    subset of its input, :func:`project_view` deduplicates, and
+    :func:`pairwise_join` of duplicate-free views cannot repeat a row.
     """
 
     __slots__ = ("attributes", "matrix")
@@ -302,9 +310,28 @@ def _key_codes(
 
 
 def _unique_rows(matrix: np.ndarray) -> np.ndarray:
-    if matrix.shape[0] <= 1:
-        return matrix
-    return np.unique(matrix, axis=0)
+    """The distinct rows of ``matrix``, in lexicographic order.
+
+    Interned codes are dense and non-negative, so each row packs into
+    one ``int64`` key in base ``max code + 1``; packed keys order like
+    the rows, and a 1-D ``np.unique`` over them replaces the void-row
+    sort of ``np.unique(axis=0)``. When the largest key,
+    ``(max code + 1) ** ncols - 1``, would not fit in ``int64``, it
+    falls back to ``np.unique(axis=0)``. Both paths return the same
+    rows in the same order.
+    """
+    nrows, ncols = matrix.shape
+    if nrows <= 1 or ncols == 0:
+        return matrix[:1]
+    base = int(matrix.max()) + 1
+    if base**ncols > 2**63:
+        return np.unique(matrix, axis=0)
+    keys = matrix[:, 0].copy()
+    for k in range(1, ncols):
+        keys *= base
+        keys += matrix[:, k]
+    _, first = np.unique(keys, return_index=True)
+    return matrix[first]
 
 
 def pairwise_join(
@@ -318,6 +345,10 @@ def pairwise_join(
     :func:`repro.relational.joins.hash_join` exactly: one unit per
     right tuple (build), per left tuple (probe), and per matching pair
     (output), so plan op totals are backend-invariant.
+
+    The gathered rows need no deduplication: the output keeps every
+    column of two duplicate-free views (see :class:`TableView`), so
+    distinct row pairs give distinct rows, cross products included.
 
     Complexity: O((|L| + |R|) log |R| + |out|) — the sort/gather
     equivalent of the hash join's O(|L| + |R| + |out|).
@@ -335,8 +366,7 @@ def pairwise_join(
         charge(counter, nl * nr)
         left_part = np.repeat(left.matrix, nr, axis=0)
         right_part = np.tile(right.matrix[:, extra_pos], (nl, 1))
-        out = np.concatenate([left_part, right_part], axis=1)
-        return TableView(out_attrs, _unique_rows(out))
+        return TableView(out_attrs, np.concatenate([left_part, right_part], axis=1))
     lpos = [left.attributes.index(a) for a in shared]
     rpos = [right.attributes.index(a) for a in shared]
     kl, kr = _key_codes(left.matrix[:, lpos], right.matrix[:, rpos])
@@ -360,7 +390,7 @@ def pairwise_join(
         )
     else:
         out = left.matrix[left_idx]
-    return TableView(out_attrs, _unique_rows(out))
+    return TableView(out_attrs, out)
 
 
 def semijoin(
@@ -394,7 +424,8 @@ def semijoin(
 
 
 def project_view(view: TableView, attributes: Sequence[str]) -> TableView:
-    """π over a view, deduplicating rows (set semantics)."""
+    """π over a view, deduplicating rows (set semantics); charges
+    nothing, like :func:`repro.relational.algebra.project`."""
     attrs = tuple(attributes)
     positions = [view.attributes.index(a) for a in attrs]
     return TableView(attrs, _unique_rows(view.matrix[:, positions]))

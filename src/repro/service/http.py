@@ -51,6 +51,8 @@ class HttpRequest:
             return json.loads(self.body)
         except json.JSONDecodeError as exc:
             raise HttpProtocolError(f"invalid JSON body: {exc}") from exc
+        except RecursionError as exc:
+            raise HttpProtocolError("JSON nested too deeply") from exc
 
     @property
     def keep_alive(self) -> bool:

@@ -61,7 +61,7 @@ from .http import (
     response_bytes,
 )
 from .plan_cache import PlanCache
-from .store import DatabaseStore
+from .store import DatabaseStore, _require_list
 from .telemetry import RequestRecord, ServiceTelemetry
 
 __all__ = [
@@ -74,21 +74,6 @@ __all__ = [
 
 #: Schema tag stamped on exported per-request trace documents.
 TRACE_SCHEMA = "repro-service-trace/v1"
-
-
-def _require_list(value, what: str, item: type | None = None) -> None:
-    """Raise :class:`SchemaError` unless ``value`` is a JSON list (of
-    ``item`` values, if given).
-
-    A string iterates like a list (``tuple("xy") == ("x", "y")``), so
-    the decoders check shapes here instead of coercing with ``tuple``.
-    """
-    if isinstance(value, list) and (
-        item is None or all(isinstance(v, item) for v in value)
-    ):
-        return
-    shape = "a list" if item is None else f"a list of {item.__name__} values"
-    raise SchemaError(f"{what} must be {shape}, got {value!r}")
 
 
 def query_from_payload(payload: dict) -> JoinQuery:

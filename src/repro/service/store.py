@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from itertools import repeat
 from pathlib import Path
 
 from ..errors import SchemaError
@@ -50,8 +51,28 @@ def relations_payload(database: Database) -> list[dict]:
     ]
 
 
+def _require_list(value, what: str, item: type | None = None) -> None:
+    """Raise :class:`SchemaError` unless ``value`` is a JSON list (of
+    ``item`` values, if given).
+
+    A string iterates like a list (``tuple("xy") == ("x", "y")``), so
+    the decoders check shapes here instead of coercing with ``tuple``.
+    """
+    if isinstance(value, list) and (
+        item is None or all(map(isinstance, value, repeat(item)))
+    ):
+        return
+    shape = "a list" if item is None else f"a list of {item.__name__} values"
+    raise SchemaError(f"{what} must be {shape}, got {value!r}")
+
+
 def database_from_payload(payload: list[dict], backend: str = "columnar") -> Database:
-    """Build a :class:`Database` from a relations payload."""
+    """Build a :class:`Database` from a relations payload.
+
+    Each entry needs a string ``name``, ``attributes`` as a list of
+    strings and ``tuples`` as a list of lists; anything else is a
+    :class:`SchemaError`, never coerced.
+    """
     if not isinstance(payload, list) or not payload:
         raise SchemaError("relations payload must be a non-empty list")
     relations = []
@@ -64,6 +85,10 @@ def database_from_payload(payload: list[dict], backend: str = "columnar") -> Dat
             tuples = entry["tuples"]
         except KeyError as missing:
             raise SchemaError(f"relation entry missing key {missing}") from missing
+        if not isinstance(name, str):
+            raise SchemaError(f"relation 'name' must be a string, got {name!r}")
+        _require_list(attributes, "relation 'attributes'", str)
+        _require_list(tuples, "relation 'tuples'", list)
         relations.append(
             Relation(name, tuple(attributes), (tuple(t) for t in tuples))
         )

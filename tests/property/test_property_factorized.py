@@ -12,9 +12,12 @@ from hypothesis import strategies as st
 
 from repro.counting import CostCounter
 from repro.generators.agm import uniform_random_database
+from repro.observability.metrics import MetricsRegistry, activate_metrics
 from repro.relational.algebra import project
+from repro.relational.database import Database
 from repro.relational.factorized import evaluate, factorize, is_free_connex
 from repro.relational.query import Atom, JoinQuery
+from repro.relational.relation import Relation
 from repro.relational.wcoj import generic_join
 
 SHAPES = {
@@ -162,3 +165,83 @@ def test_fixture_routing_and_agreement():
         assert repr(sorted(result.materialize().tuples)).encode() == expected
         fc = is_free_connex(query, free)
         assert result.method == ("factorized" if fc else "wcoj")
+
+
+# -- the bulk materialize against the constant-delay walk -------------
+
+
+def _assert_bulk_matches_walk(query, database, free):
+    """``materialize()`` is ``set(enumerate())`` over ``free``, and it
+    neither charges the build's counter nor observes any metric."""
+    counter = CostCounter()
+    result = evaluate(query, database, free=free, counter=counter)
+    built = counter.total
+    registry = MetricsRegistry()
+    with activate_metrics(registry):
+        flat = result.materialize()
+    assert counter.total == built
+    assert registry.to_payload() == {}
+    assert flat.attributes == tuple(free)
+    assert flat.tuples == set(result.enumerate())
+    assert len(flat) == result.count()
+    return flat
+
+
+@given(
+    shape=st.sampled_from(sorted(SHAPES)),
+    mask=st.integers(1, 2**6 - 1),
+    size=st.integers(1, 25),
+    domain=st.integers(1, 8),
+    seed=st.integers(0, 10**6),
+    backend=st.sampled_from(["naive", "columnar"]),
+)
+@settings(max_examples=80, deadline=None)
+def test_bulk_materialize_equals_the_walk(shape, mask, size, domain, seed, backend):
+    query = SHAPES[shape]()
+    free = _free_subset(query, mask)
+    database = uniform_random_database(query, size, domain, seed=seed)
+    _assert_bulk_matches_walk(query, database.with_backend(backend), free)
+
+
+def test_bulk_materialize_on_fixtures_and_empty_answers():
+    for query, free in FREE_CONNEX_FIXTURES + NON_FREE_CONNEX_FIXTURES:
+        database = uniform_random_database(query, 15, 4, seed=11)
+        for backend in ("naive", "columnar"):
+            flat = _assert_bulk_matches_walk(
+                query, database.with_backend(backend), free
+            )
+            assert flat.tuples
+    # The disconnected product: answers are the full cross product of
+    # the two roots' projections.
+    query, free = FREE_CONNEX_FIXTURES[-1]
+    database = uniform_random_database(query, 15, 4, seed=11)
+    flat = _assert_bulk_matches_walk(query, database, free)
+    assert flat.tuples == {
+        (a, c)
+        for a in database.relation("R1").column("a")
+        for c in database.relation("R2").column("c")
+    }
+    # Empty answers: disjoint join values, and an empty guard relation.
+    path = JoinQuery.path(3)
+    disjoint = Database(
+        [
+            Relation(
+                atom.relation_name, atom.attributes, [(i, i + 10 * k) for i in range(3)]
+            )
+            for k, atom in enumerate(path.atoms)
+        ]
+    )
+    guarded = JoinQuery([Atom("R1", ("a", "b")), Atom("R2", ("c", "d"))])
+    no_guard = Database(
+        [Relation("R1", ("a", "b"), [(1, 2)]), Relation("R2", ("c", "d"))]
+    )
+    for backend in ("naive", "columnar"):
+        for free in (path.attributes, ("a0", "a1")):
+            flat = _assert_bulk_matches_walk(
+                path, disjoint.with_backend(backend), free
+            )
+            assert not flat.tuples
+        flat = _assert_bulk_matches_walk(
+            guarded, no_guard.with_backend(backend), ("a",)
+        )
+        assert not flat.tuples

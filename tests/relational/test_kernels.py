@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.counting import CostCounter
 from repro.errors import SchemaError
@@ -12,6 +14,7 @@ from repro.relational.kernels import (
     KernelState,
     SortedTrieIndex,
     TableView,
+    _unique_rows,
     pairwise_join,
     project_view,
     semijoin,
@@ -117,6 +120,68 @@ def test_pairwise_join_empty_side():
     out = pairwise_join(left, right)
     assert len(out) == 0
     assert out.attributes == ("a", "b", "c")
+
+
+@st.composite
+def _distinct_view(draw, pool):
+    """A duplicate-free view over a nonempty attribute subset of ``pool``."""
+    attrs = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+    rows = draw(
+        st.lists(
+            st.tuples(*[st.integers(0, 3)] * len(attrs)), max_size=12, unique=True
+        )
+    )
+    return _view(attrs, rows)
+
+
+@given(
+    left=_distinct_view(("a", "b", "c")),
+    right=_distinct_view(("b", "c", "d")),
+    cross=st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_pairwise_join_of_distinct_views_has_no_duplicates(left, right, cross):
+    if cross:
+        # Rename the right view apart: a no-shared cross product.
+        right = TableView(tuple(a + "'" for a in right.attributes), right.matrix)
+    out = pairwise_join(left, right)
+    rows = list(map(tuple, out.matrix.tolist()))
+    assert len(set(rows)) == len(rows)
+    expected = set()
+    for lrow in map(tuple, left.matrix.tolist()):
+        lval = dict(zip(left.attributes, lrow))
+        for rrow in map(tuple, right.matrix.tolist()):
+            rval = dict(zip(right.attributes, rrow))
+            if all(lval[a] == rval[a] for a in lval.keys() & rval.keys()):
+                merged = {**rval, **lval}
+                expected.add(tuple(merged[a] for a in out.attributes))
+    assert set(rows) == expected
+
+
+#: Codes of at least 2**32 over two or more columns overflow the packed
+#: int64 key, so those examples take the np.unique(axis=0) fallback.
+_NARROW_CODES = list(range(7))
+_WIDE_CODES = [0, 1, 2**32, 2**40 + 5, 2**45 + 3]
+
+
+def _matrices(codes):
+    return st.integers(1, 3).flatmap(
+        lambda ncols: st.lists(
+            st.lists(st.sampled_from(codes), min_size=ncols, max_size=ncols)
+        ).map(lambda rows: np.array(rows, dtype=np.int64).reshape(len(rows), ncols))
+    )
+
+
+@given(matrix=st.one_of(_matrices(_NARROW_CODES), _matrices(_WIDE_CODES)))
+# Keys in base max + 1 are distinct; one digit less would merge the
+# first two rows (1 * 2 + 0 == 0 * 2 + 2).
+@example(matrix=np.array([[1, 0], [0, 2], [0, 2], [2, 2]], dtype=np.int64))
+@settings(max_examples=150, deadline=None)
+def test_unique_rows_matches_numpy_unique(matrix):
+    got = _unique_rows(matrix)
+    want = np.unique(matrix, axis=0)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 def test_semijoin_filters_and_charges():

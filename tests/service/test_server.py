@@ -8,6 +8,7 @@ from repro.relational.query import Atom, JoinQuery
 from repro.relational.router import execute_route
 from repro.service import QueryService
 from repro.service.client import ServiceClient
+from repro.service.http import HttpRequest
 from repro.service.server import canonical_answers, strip_volatile
 from repro.service.store import database_from_payload
 
@@ -166,6 +167,37 @@ class TestStringShapedLists:
                 "POST", "/query", {"database": "demo", "atoms": atoms, "free": ["x"]}
             )
             assert status == 200 and payload["free"] == ["x"]
+            return None
+
+        run_service(body)
+
+
+class TestMalformedBodies:
+    def test_over_deep_json_is_400_with_one_telemetry_record(self):
+        async def main():
+            service = QueryService()
+            request = HttpRequest("POST", "/query", body=b"[" * 100_000)
+            data = await service.dispatch(request)
+            return service, data
+
+        service, data = asyncio.run(main())
+        head, __, body = data.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400")
+        payload = json.loads(body)
+        assert "nested too deeply" in payload["error"]
+        records = service.telemetry.recent_requests()
+        assert [r.request_id for r in records] == [payload["request_id"]]
+        assert records[0].status == 400
+
+    def test_coerced_registration_is_400(self):
+        async def body(service, host, port, client):
+            relations = [dict(RELATIONS[0], attributes="ab")]
+            status, payload = await client.request(
+                "POST", "/databases", {"name": "coerced", "relations": relations}
+            )
+            assert status == 400 and "'attributes'" in payload["error"]
+            assert "request_id" in payload
+            assert "coerced" not in service.store.names()
             return None
 
         run_service(body)

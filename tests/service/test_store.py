@@ -67,6 +67,26 @@ class TestDatabaseStore:
         with pytest.raises(SchemaError):
             DatabaseStore(backend="sqlite")
 
+    def test_relation_name_must_be_a_string(self):
+        with pytest.raises(SchemaError, match="'name'"):
+            DatabaseStore().register("demo", [dict(relations()[0], name=7)])
+
+    def test_attributes_must_be_a_list_of_strings(self):
+        # A string would iterate as ('a', 'b'): rejected, not coerced.
+        for attributes in ("ab", ["a", 2]):
+            with pytest.raises(SchemaError, match="'attributes'"):
+                DatabaseStore().register(
+                    "demo", [dict(relations()[0], attributes=attributes)]
+                )
+
+    def test_tuples_must_be_a_list_of_lists(self):
+        # A string row would iterate as ('1', '2'): rejected, not coerced.
+        for tuples in ("12", ["12"], [[1, 2], (3, 4)]):
+            with pytest.raises(SchemaError, match="'tuples'"):
+                DatabaseStore().register(
+                    "demo", [dict(relations()[0], tuples=tuples)]
+                )
+
     def test_persistence_roundtrip(self, tmp_path):
         directory = tmp_path / "catalog"
         store = DatabaseStore(directory=directory)
