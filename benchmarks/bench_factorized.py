@@ -2,8 +2,8 @@
 
 The asymptotic contrast of Berkholz's dichotomy, measured: on the hub
 star family (Θ(n²) answers from 2n tuples) the flat engines must
-materialize every answer while the factorized engine builds an O(n)
-d-representation and reads the count off it. The wall-clock ratio
+materialize every answer while the factorized engine builds an O(n)-node
+representation and reads the count off it. The wall-clock ratio
 therefore *grows* with n — an asymptotic win, not a constant factor —
 while the measured enumeration delay stays flat and the materialized
 answers stay byte-identical across all three paths (naive Yannakakis,

@@ -4,18 +4,18 @@ Berkholz's dichotomy (PAPERS.md), both sides, measured:
 
 * **easy side** — on a high-output free-connex family (the hub star:
   two relations fanning out of one center value) the factorized result
-  has O(N) d-representation nodes while the flat answer is Θ(N²), the
-  answer count is read off without enumeration, and the measured
-  enumeration delay (``measure_delays``, setup and exhaustion
-  included) is flat in N;
+  has O(N) nodes while the flat answer is Θ(N²), the answer count is
+  read off without enumeration, and the measured enumeration delay
+  (``measure_delays``, setup and exhaustion included) is flat in N;
 * **hard side** — the BMM star projection π_{l0,l1}(R1 ⋈ R2) is
-  α-acyclic but not free-connex, so the router must take the WCOJ
-  materialization fallback while still returning the exact answers.
+  α-acyclic but not free-connex, so the router must not take its
+  ``factorized`` route (it joins along the join tree and projects, the
+  ``yannakakis`` route) while still returning the exact answers.
 
 All inputs are constructed literally (no RNG), so the record is
 deterministic and baseline-safe. Findings include the fitted exponents
-of d-rep size vs flat size — the gap the "factorized-size" lower bound
-says is best possible.
+of factorized size vs flat size — the gap the "factorized-size" lower
+bound says is best possible.
 """
 
 from __future__ import annotations
@@ -23,9 +23,10 @@ from __future__ import annotations
 from ..observability.context import RunContext
 from ..relational.database import Database
 from ..relational.enumeration import measure_delays
-from ..relational.factorized import evaluate, factorize, is_free_connex
+from ..relational.factorized import factorize, is_free_connex
 from ..relational.query import JoinQuery
 from ..relational.relation import Relation
+from ..relational.router import execute_route
 from .harness import ExperimentResult, fit_exponent
 
 
@@ -56,7 +57,7 @@ def run(
         claim="free-connex acyclic queries factorize into linear-size "
         "d-representations with constant-delay enumeration and "
         "enumeration-free counting; non-free-connex projections fall "
-        "back to WCOJ materialization",
+        "back to flat materialization",
         columns=(
             "N",
             "flat_answers",
@@ -65,7 +66,7 @@ def run(
             "count_ok",
             "build_ops",
             "max_delay",
-            "fallback_method",
+            "fallback_route",
             "fallback_ok",
         ),
     )
@@ -82,14 +83,14 @@ def run(
 
         # Hard side: project the same star to its leaves — α-acyclic
         # but not free-connex (the BMM query), so the router must
-        # materialize; the answer is the full leaf grid.
+        # materialize flat; the answer is the full leaf grid.
         with ctx.span("E21/fallback", N=n):
-            fallback = evaluate(query, database, free=("l0", "l1"))
+            fallback = execute_route(query, database, free=("l0", "l1"))
         expected_pairs = n * n
         fallback_ok = (
             not is_free_connex(query, ("l0", "l1"))
-            and fallback.method == "wcoj"
-            and fallback.count() == expected_pairs
+            and fallback.decision.route != "factorized"
+            and len(fallback.relation) == expected_pairs
         )
 
         ns.append(n)
@@ -104,7 +105,7 @@ def run(
             count_ok=count == profile.answers == expected_pairs,
             build_ops=build_ops,
             max_delay=profile.max_delay,
-            fallback_method=fallback.method,
+            fallback_route=fallback.decision.route,
             fallback_ok=fallback_ok,
         )
 

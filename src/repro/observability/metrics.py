@@ -245,6 +245,12 @@ class MetricsRegistry:
             )
         return existing
 
+    def counter_value(self, name: str) -> int:
+        """The value of counter ``name`` (0 if it was never created),
+        read without creating it or serializing the registry."""
+        existing = self._counters.get(name)
+        return 0 if existing is None else existing.value
+
     @property
     def empty(self) -> bool:
         return not (self._counters or self._gauges or self._histograms)

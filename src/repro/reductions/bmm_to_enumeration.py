@@ -14,8 +14,9 @@ so the query is *not* free-connex: an enumerator with linear
 preprocessing and constant delay would emit all of A·B in O(n² + out)
 time, contradicting the combinatorial BMM conjecture. This is the
 reduction behind the ``enum-delay-dichotomy`` lower bound, and the
-reason :func:`repro.relational.factorized.evaluate` must fall back to
-worst-case-optimal materialization here.
+reason the router (:func:`repro.relational.router.decide_route`) must
+not take its ``factorized`` route here: it materializes the answer
+flat instead.
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ from __future__ import annotations
 from ..errors import ReductionError
 from ..graphs.graph import Graph
 from ..relational.database import Database
-from ..relational.factorized import evaluate, extended_hypergraph, is_free_connex
+from ..relational.factorized import extended_hypergraph, is_free_connex
 from ..relational.query import Atom, JoinQuery
 from ..relational.relation import Relation
+from ..relational.router import execute_route
 from ..hypergraph.acyclicity import is_alpha_acyclic
 from ..transforms import GRAPH, QUERY, CertifiedReduction, make_bound, transform
 from ..transforms.witnesses import bmm_tripartite_graph
@@ -105,9 +107,9 @@ def bmm_graph_to_star_query(graph: Graph) -> CertifiedReduction:
         ]
     )
     expected = _product_pairs(left_edges, right_edges)
-    # The router must take the hard-side fallback (WCOJ materialization).
-    result = evaluate(query, database, free=FREE)
-    answers = set(result.materialize().tuples)
+    # The router must take a hard-side route (flat materialization).
+    routed = execute_route(query, database, free=FREE)
+    answers = set(routed.relation.tuples)
 
     n = max(
         (len({v for v in graph.vertices if v[0] == layer})
@@ -135,8 +137,8 @@ def bmm_graph_to_star_query(graph: Graph) -> CertifiedReduction:
         "query plus free edge is not alpha-acyclic",
         not is_alpha_acyclic(extended_hypergraph(query, FREE))
         and not is_free_connex(query, FREE)
-        and result.method == "wcoj",
-        f"router method: {result.method}",
+        and routed.decision.route != "factorized",
+        f"router route: {routed.decision.route}",
     )
     reduction.certify_eq(
         "relation sizes equal matrix densities",

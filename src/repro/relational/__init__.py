@@ -22,7 +22,6 @@ from .enumeration import (
     measure_delays,
 )
 from .factorized import FactorizedResult, factorize, is_free_connex
-from .factorized import evaluate as evaluate_factorized
 from .joins import JoinPlanResult, evaluate_left_deep, hash_join
 from .minimize import canonical_structure, minimize_query
 from .kernels import BACKENDS, KernelState
@@ -61,7 +60,6 @@ __all__ = [
     "canonical_structure",
     "enumerate_acyclic",
     "enumerate_nested_loop",
-    "evaluate_factorized",
     "evaluate_left_deep",
     "factorize",
     "generic_join",

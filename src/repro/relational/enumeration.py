@@ -6,7 +6,7 @@ for some queries). This module implements the positive side for
 α-acyclic queries — Bagan–Durand–Grandjean-style enumeration:
 
 * :func:`enumerate_acyclic` — linear-time preprocessing (a factorized
-  d-representation built over Yannakakis' reducer) after which every
+  representation built over Yannakakis' reducer) after which every
   partial assignment extends to an answer, so the walk is
   backtrack-free and the delay between consecutive answers is
   O(query size), independent of the data;
@@ -21,7 +21,7 @@ Both enumerators yield answer tuples in the query's attribute order;
 ``enumerate_acyclic`` additionally accepts a ``free`` projection, which
 is legal exactly for *free-connex* acyclic queries (the Bagan–Durand–
 Grandjean dichotomy). Full and projected answers alike are served from
-a factorized d-representation (:mod:`~repro.relational.factorized`);
+a factorized representation (:mod:`~repro.relational.factorized`);
 non-free-connex projections raise :class:`~repro.errors.SchemaError`
 so callers fall back explicitly — silently enumerating them used to
 risk duplicate answers and data-dependent delay.
@@ -85,14 +85,14 @@ def enumerate_acyclic(
 ) -> Iterator[tuple[Value, ...]]:
     """Backtrack-free enumeration for α-acyclic queries.
 
-    Served from a factorized d-representation
+    Served from a factorized representation
     (:func:`~repro.relational.factorized.factorize`). Its preprocessing
-    — a semijoin-reduced Yannakakis pass and the DAG build — is not
-    counted toward delay in the lower-bound sense, but is charged to
-    ``counter`` like everything else. After it, every node of the DAG
-    denotes at least one answer, so the walk never retreats: the
-    operation-count gap between consecutive yields is O(query size),
-    independent of N.
+    — a semijoin-reduced Yannakakis pass and the bucketing of the
+    reduced projections — is not counted toward delay in the
+    lower-bound sense, but is charged to ``counter`` like everything
+    else. After it, every bucket extends to at least one answer, so
+    the walk never retreats: the operation-count gap between
+    consecutive yields is O(query size), independent of N.
 
     Parameters
     ----------
@@ -106,18 +106,19 @@ def enumerate_acyclic(
     SchemaError
         If the query is not α-acyclic, or ``free`` is a projection the
         free-connex dichotomy rules out (callers should fall back to
-        materialization, e.g. via ``factorized.evaluate``).
+        materialization, e.g. via
+        :func:`~repro.relational.router.execute_route`).
 
     Complexity: O(‖D‖ · |A|) preprocessing (Yannakakis semi-joins and
-        the d-representation build), then O(|Q|) delay per answer,
-        independent of the answer count.
+        the bucketing of the reduced projections), then O(|Q|) delay
+        per answer, independent of the answer count.
     """
     if not is_free_connex(query, free):
         raise SchemaError(
             "constant-delay enumeration requires a free-connex acyclic "
             "query (alpha-acyclic, for a full query); this instance falls "
             "on the hard side of the dichotomy — materialize via "
-            "factorized.evaluate instead"
+            "router.execute_route instead"
         )
     yield from factorize(query, database, free=free, counter=counter).enumerate(
         counter

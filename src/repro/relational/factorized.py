@@ -1,23 +1,22 @@
-"""Factorized query results: d-representations and the free-connex dichotomy.
+"""Factorized query results and the free-connex dichotomy.
 
 The §4–§5 size bounds only tell half the story while answers are
-materialized flat: a *d-representation* — a DAG of union and product
-nodes over attribute/value leaves — can be exponentially smaller than
-the answer set it denotes. Berkholz's dichotomy (PAPERS.md, *Factorised
+materialized flat: a *factorized representation* — unions and products
+of attribute/value blocks — can be exponentially smaller than the
+answer set it denotes. Berkholz's dichotomy (PAPERS.md, *Factorised
 Representations of Join Queries*) pins down exactly when that pays off:
 
 * **free-connex acyclic** queries (the query hypergraph *and* the
   hypergraph extended with one hyperedge over the free variables are
-  both α-acyclic) admit a linear-size d-representation, built here by
+  both α-acyclic) admit a linear-size representation, built here by
   one semijoin-reduced Yannakakis pass over a join tree of the extended
   hypergraph, from which :meth:`FactorizedResult.enumerate` yields
   answers with constant delay and :meth:`FactorizedResult.count` counts
   them without enumeration;
-* everything else falls back to worst-case-optimal materialization
-  (:func:`~repro.relational.wcoj.generic_join`) — the
-  :func:`evaluate` router implements exactly this dichotomy, and the
-  BMM reduction in :mod:`repro.reductions.bmm_to_enumeration` is the
-  matching conditional lower bound.
+* everything else is materialized flat — the router
+  (:mod:`repro.relational.router`) implements exactly this dichotomy,
+  and the BMM reduction in :mod:`repro.reductions.bmm_to_enumeration`
+  is the matching conditional lower bound.
 
 Construction sketch (all steps charged to the ``CostCounter``):
 
@@ -30,12 +29,13 @@ Construction sketch (all steps charged to the ``CostCounter``):
    form a *derived* full join query over the free variables whose
    answer is exactly π_F(Q); its hypergraph is again α-acyclic, so a
    standard full reducer makes it globally consistent.
-3. Fold the reduced derived query into a memoized union/product DAG:
-   one union node per (atom, parent-key) pair, one product node per
-   tuple (a child's product is spliced into its parent's, never
-   nested), one leaf per fresh attribute block. Distinct tuples behind a
-   key differ on the fresh attributes, so union branches are disjoint
-   and counting is a sum/product sweep over the DAG.
+3. Bucket each reduced projection's tuples by the key it shares with
+   its parent in the derived join tree. The buckets *are* the
+   representation: a bucket is the union of its tuples, and a tuple is
+   the product of its fresh attributes with the one bucket per derived
+   child that its key selects. Distinct tuples in a bucket differ on
+   their fresh attributes, so unions are disjoint and counting is a
+   sum/product sweep.
 """
 
 from __future__ import annotations
@@ -53,116 +53,9 @@ from .algebra import project
 from .database import Database
 from .query import JoinQuery
 from .relation import Relation, Value
-from .semiring import COUNTING, Semiring, aggregate_relation, fold_tuple
-from .wcoj import generic_join
+from .semiring import COUNTING, Semiring, fold_tuple
 from . import kernels
 from .yannakakis import reduced_join_forest, semijoin_reduce, tree_links
-
-
-# -- d-representation nodes -------------------------------------------
-
-
-class _Leaf:
-    """A block of attribute/value bindings: one singleton relation."""
-
-    __slots__ = ("attributes", "values")
-
-    def __init__(self, attributes: tuple[str, ...], values: tuple[Value, ...]):
-        self.attributes = attributes
-        self.values = values
-
-
-class _Product:
-    """Cartesian product of independent sub-representations."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: tuple):
-        self.parts = parts
-
-
-class _Union:
-    """Disjoint union of alternative sub-representations."""
-
-    __slots__ = ("branches",)
-
-    def __init__(self, branches: tuple):
-        self.branches = branches
-
-
-def _dag_stats(root) -> tuple[int, int]:
-    """(node count, edge count) of the d-representation DAG."""
-    seen: set[int] = set()
-    nodes = edges = 0
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        nodes += 1
-        kids = ()
-        if isinstance(node, _Product):
-            kids = node.parts
-        elif isinstance(node, _Union):
-            kids = node.branches
-        edges += len(kids)
-        stack.extend(kids)
-    return nodes, edges
-
-
-def _assignments(node, counter: CostCounter | None) -> Iterator[dict[str, Value]]:
-    """Yield the assignments a d-rep node denotes; one charge per visit.
-
-    After full reduction every node is nonempty, so the recursion is
-    backtrack-free: between consecutive yields it touches at most one
-    root-to-leaf slice of the DAG, whose size depends on the query
-    only — that is the constant-delay guarantee ``measure_delays``
-    verifies empirically.
-    """
-    charge(counter)
-    if isinstance(node, _Leaf):
-        yield dict(zip(node.attributes, node.values))
-    elif isinstance(node, _Union):
-        for branch in node.branches:
-            yield from _assignments(branch, counter)
-    else:
-        yield from _product_assignments(node.parts, 0, counter)
-
-
-def _product_assignments(
-    parts: tuple, idx: int, counter: CostCounter | None
-) -> Iterator[dict[str, Value]]:
-    if idx == len(parts):
-        yield {}
-        return
-    for head in _assignments(parts[idx], counter):
-        for rest in _product_assignments(parts, idx + 1, counter):
-            merged = dict(head)
-            merged.update(rest)
-            yield merged
-
-
-def _dag_count(root) -> int:
-    """Answer count by one sum/product sweep (memoized on shared nodes)."""
-    memo: dict[int, int] = {}
-
-    def walk(node) -> int:
-        key = id(node)
-        if key in memo:
-            return memo[key]
-        if isinstance(node, _Leaf):
-            total = 1
-        elif isinstance(node, _Union):
-            total = sum(walk(b) for b in node.branches)
-        else:
-            total = 1
-            for part in node.parts:
-                total *= walk(part)
-        memo[key] = total
-        return total
-
-    return walk(root)
 
 
 def _getter(positions: Sequence[int]) -> Callable[[tuple], tuple]:
@@ -217,86 +110,121 @@ def _expand(state: _AggState, free: tuple[str, ...]) -> Iterable[tuple]:
     return map(_getter([attrs.index(a) for a in free]), rows)
 
 
+def _walk(
+    state: _AggState, free: tuple[str, ...], counter: CostCounter | None
+) -> Iterator[tuple]:
+    """The answer tuples of the reduced derived query, one at a time.
+
+    Entering a bucket charges one op, and so does each of its tuples:
+    the tuple binds its fresh attributes and leaves one child bucket
+    per derived child pending; pending buckets, like the roots, combine
+    by product. Full reduction left every bucket the walk enters
+    nonempty, so it never backtracks: between consecutive yields it
+    advances one tuple and enters at most one bucket per projection,
+    O(query size) ops whatever the data.
+    """
+    buckets, key_attrs = state.buckets, state.key_attrs
+    slot = {a: i for i, a in enumerate(free)}
+    binds: list[list[tuple[int, int]]] = []
+    child_keys: list[list[tuple[int, Callable[[tuple], tuple]]]] = []
+    for j, rel in enumerate(state.projections):
+        fresh = [a for a in rel.attributes if a not in key_attrs[j]]
+        binds.append([(rel.position(a), slot[a]) for a in fresh])
+        child_keys.append(
+            [
+                (c, _getter([rel.position(a) for a in key_attrs[c]]))
+                for c in state.g_children[j]
+            ]
+        )
+    out: list[Value] = [None] * len(free)
+
+    def product(pending: tuple) -> Iterator[None]:
+        if not pending:
+            yield None
+            return
+        (j, key), rest = pending[0], pending[1:]
+        charge(counter)
+        for t in buckets[j][key]:
+            charge(counter)
+            for position, index in binds[j]:
+                out[index] = t[position]
+            children = tuple((c, key_of(t)) for c, key_of in child_keys[j])
+            yield from product(children + rest)
+
+    for __ in product(tuple((r, ()) for r in state.g_roots)):
+        yield tuple(out)
+
+
 @dataclass
 class _AggState:
-    """Build-side state retained for post-hoc semiring sweeps.
+    """The reduced derived query: the one factorized representation.
 
-    The d-representation DAG alone loses which *atom* each tuple came
-    from, which annotated semirings (min-plus witnesses, provenance)
-    need. So the build keeps its derived-query scaffolding — the
-    reduced projections, their grouping buckets and the derived join
-    tree — plus, for full queries, per-top annotation ``plans``: for
-    top atom ``j``, the ``(relation_name, positions)`` of its own atom
-    and every atom absorbed into it (attributes of an absorbed atom are
-    a subset of its depth-1 ancestor's, by running intersection through
-    the free edge, so ``positions`` index into the projection tuple).
-    ``plans`` is ``None`` when ``free`` is a strict subset of the query
-    attributes — annotated aggregation is undefined for projections.
+    ``projections[j]`` is top atom ``j`` projected onto its free
+    interface and fully reduced; ``buckets[j]`` groups its tuples by
+    ``key_attrs[j]``, the attributes it shares with its parent in the
+    derived join forest ``(g_children, g_roots)``. Every reader of a
+    :class:`FactorizedResult` works from these. Annotated semirings
+    (min-plus witnesses, provenance) also need to know which *atoms*
+    each tuple came from, so full queries keep per-top annotation
+    ``plans``: for top atom ``j``, the ``(relation_name, positions)``
+    of its own atom and every atom absorbed into it (attributes of an
+    absorbed atom are a subset of its depth-1 ancestor's, by running
+    intersection through the free edge, so ``positions`` index into
+    the projection tuple). ``plans`` is ``None`` when ``free`` is a
+    strict subset of the query attributes — annotated aggregation is
+    undefined for projections.
     """
 
-    query: JoinQuery
-    full_free: bool
-    projections: list[Relation] | None = None
-    buckets: list[dict[tuple, list[tuple]]] | None = None
-    key_attrs: list[tuple[str, ...]] | None = None
-    g_children: dict[int, list[int]] | None = None
-    g_roots: list[int] | None = None
-    plans: list[list[tuple[str, tuple[int, ...]]]] | None = None
+    projections: list[Relation]
+    buckets: list[dict[tuple, list[tuple]]]
+    key_attrs: list[tuple[str, ...]]
+    g_children: dict[int, list[int]]
+    g_roots: list[int]
+    plans: list[list[tuple[str, tuple[int, ...]]]] | None
 
 
 @dataclass
 class FactorizedResult:
-    """The answer to a join query, held factorized (or flat, post-fallback).
+    """The answer to a free-connex acyclic query, held factorized.
 
     Attributes
     ----------
     free:
         Output attributes, in enumeration order.
-    method:
-        ``"factorized"`` when a d-representation was built (free-connex
-        case), ``"wcoj"`` when the router fell back to worst-case
-        optimal materialization.
     num_nodes / num_edges:
-        Size of the d-representation DAG (0 for the fallback) — the
-        quantity the "factorized-size" lower bound constrains.
+        Size of the representation — the quantity the
+        "factorized-size" lower bound constrains. Each bucket is one
+        union node and each projection tuple one product node; edges
+        link every bucket to its tuples and every tuple to the one
+        bucket per derived child that its key selects. Both are linear
+        in the data.
     """
 
     free: tuple[str, ...]
-    method: str
     num_nodes: int = 0
     num_edges: int = 0
-    _root: object | None = field(default=None, repr=False)
-    _flat: Relation | None = field(default=None, repr=False)
     _count: int | None = field(default=None, repr=False)
+    #: The reduced derived query; ``None`` when the answer is empty.
     _state: _AggState | None = field(default=None, repr=False)
 
     def count(self) -> int:
         """Number of answers, computed without enumerating them.
 
-        This *is* the counting-semiring sweep: ``aggregate(COUNTING)``
-        over the retained build state (falling back to the plain DAG
-        sum/product sweep for results built without state).
+        This *is* the counting-semiring sweep: ``aggregate(COUNTING)``.
         """
         if self._count is None:
-            if self._flat is not None:
-                self._count = len(self._flat)
-            elif self._root is None:
-                self._count = 0
-            elif self._state is None or self._state.projections is None:
-                self._count = _dag_count(self._root)
-            else:
-                self._count = self.aggregate(COUNTING)
+            self._count = self.aggregate(COUNTING)
         return self._count
 
     def aggregate(self, semiring: Semiring, annotate=None) -> object:
         """SumProd over the answers by one memoized sweep — no enumeration.
 
-        Runs the semiring DP over the derived join tree retained from
-        the build: per top atom ``j`` and parent key, ⊕ over bucketed
-        tuples of (⊗-weight of the tuple's own and absorbed atoms) ⊗
-        the children's sums. Memoization mirrors the d-rep DAG node
-        sharing, so the sweep is linear in the DAG size and — like
-        :meth:`count` — charges nothing. Values equal
+        Runs the semiring DP over the derived join tree: per top atom
+        ``j`` and parent key, ⊕ over bucketed tuples of (⊗-weight of
+        the tuple's own and absorbed atoms) ⊗ the children's sums.
+        Memoization is per bucket, so the sweep is linear in the
+        representation's size and — like :meth:`count` — charges
+        nothing. Values equal
         :func:`~repro.relational.semiring.aggregate_relation` over the
         materialized answer byte for byte (the repo invariant).
 
@@ -315,25 +243,8 @@ class FactorizedResult:
         add, mul = semiring.add, semiring.mul
         one, zero = semiring.one, semiring.zero
         state = self._state
-        if self._flat is not None:
-            if state is not None and state.full_free:
-                return aggregate_relation(
-                    semiring, state.query, self._flat, annotate
-                )
-            if not trivial:
-                raise InvalidInstanceError(
-                    "annotated aggregation requires free = all query attributes"
-                )
-            return semiring.repeat_add(one, len(self._flat))
-        if self._root is None:
+        if state is None:
             return zero
-        if state is None or state.projections is None:
-            if not trivial:
-                raise InvalidInstanceError(
-                    "annotated aggregation needs the build-side state; "
-                    "this result was constructed without it"
-                )
-            return semiring.repeat_add(one, _dag_count(self._root))
         if not trivial and state.plans is None:
             raise InvalidInstanceError(
                 "annotated aggregation requires free = all query attributes"
@@ -371,45 +282,36 @@ class FactorizedResult:
     def enumerate(
         self, counter: CostCounter | None = None
     ) -> Iterator[tuple[Value, ...]]:
-        """Yield answer tuples in ``free`` order, charging per node visit.
+        """Yield answer tuples in ``free`` order by the bucket walk.
 
-        On the factorized path the op-count gap between consecutive
-        yields is O(query size), independent of the data — the
-        d-representation is backtrack-free after full reduction.
+        :func:`_walk` charges one op per bucket and per tuple it
+        enters, so the op-count gap between consecutive yields is
+        O(query size), independent of the data; each gap is observed
+        into the ``factorized.delay`` histogram.
         """
-        if self._flat is not None:
-            for t in self._flat.tuples:
-                charge(counter)
-                yield t
-            return
-        if self._root is None:
+        if self._state is None:
             return
         last = counter.total if counter is not None else 0
-        for assignment in _assignments(self._root, counter):
+        for answer in _walk(self._state, self.free, counter):
             if counter is not None:
                 observe("factorized.delay", counter.total - last, SMALL_BUCKETS)
                 last = counter.total
-            yield tuple(assignment[a] for a in self.free)
+            yield answer
 
     def materialize(self, name: str = "answer") -> Relation:
         """Flatten into an ordinary :class:`Relation` over ``free``.
 
-        On the factorized path this expands the reduced derived query
-        kept from the build (:func:`_expand`) instead of walking the
-        d-representation. Like :meth:`count`, it charges nothing and
-        observes nothing; :meth:`enumerate` stays the constant-delay
-        walk, and a result built without state drains it.
+        Expands the reduced derived query in bulk (:func:`_expand`)
+        instead of walking it. Like :meth:`count`, it charges nothing
+        and observes nothing; :meth:`enumerate` stays the
+        constant-delay walk.
 
-        Complexity: O(|answer| · |free|) on the factorized path.
+        Complexity: O(|answer| · |free|).
         """
-        if self._flat is not None:
-            return Relation(name, self.free, self._flat.tuples)
-        state = self._state
-        if state is None or state.projections is None:
-            return Relation(name, self.free, self.enumerate())
         out = Relation(name, self.free)
-        out.tuples.update(_expand(state, self.free))
-        out.version += 1
+        if self._state is not None:
+            out.tuples.update(_expand(self._state, self.free))
+            out.version += 1
         return out
 
 
@@ -446,8 +348,9 @@ def is_free_connex(query: JoinQuery, free: Sequence[str] | None = None) -> bool:
     True iff the query hypergraph is α-acyclic *and* stays α-acyclic
     after adding one hyperedge over the free variables. With
     ``free=None`` (full query) this degenerates to plain α-acyclicity.
-    This predicate is the eligibility test of the :func:`evaluate`
-    router and of projected :func:`~repro.relational.enumeration.enumerate_acyclic`.
+    This predicate is the eligibility test of the router's
+    ``factorized`` route (:func:`~repro.relational.router.decide_route`)
+    and of projected :func:`~repro.relational.enumeration.enumerate_acyclic`.
     """
     free_t = _validated_free(query, free)
     if not is_alpha_acyclic(query.hypergraph()):
@@ -489,21 +392,17 @@ def _rooted_at(
     return children, parent, roots
 
 
-def _empty_result(free: tuple[str, ...]) -> FactorizedResult:
-    return FactorizedResult(free=free, method="factorized", _count=0)
-
-
 def factorize(
     query: JoinQuery,
     database: Database,
     free: Sequence[str] | None = None,
     counter: CostCounter | None = None,
 ) -> FactorizedResult:
-    """Build a d-representation of π_free(query) over ``database``.
+    """Build a factorized representation of π_free(query) over ``database``.
 
     Requires ``(query, free)`` to be free-connex acyclic; use
-    :func:`evaluate` for the router that falls back to
-    :func:`~repro.relational.wcoj.generic_join` otherwise.
+    :func:`~repro.relational.router.execute_route` for the router that
+    materializes every other instance flat.
 
     Raises
     ------
@@ -511,8 +410,8 @@ def factorize(
         If the query with these free variables is not free-connex.
 
     Complexity: O(‖D‖ · |A|) construction — one semijoin sweep over the
-        extended join tree plus a full reducer on the derived query —
-        yielding a DAG of O(‖D‖ · |A|) nodes.
+        extended join tree plus a full reducer and one bucketing pass
+        on the derived query — yielding O(‖D‖ · |A|) nodes.
     """
     free_t = _validated_free(query, free)
     query.validate_against(database)
@@ -549,7 +448,7 @@ def factorize(
     # Guard components (no free variables): empty root ⇒ empty answer.
     for r in forest_roots:
         if r not in tops and len(relations[r]) == 0:
-            return _empty_result(free_t)
+            return FactorizedResult(free_t)
 
     # Derived full query over the free variables: one projection per
     # depth-1 atom. Its hypergraph is α-acyclic again (the flattening
@@ -566,7 +465,7 @@ def factorize(
         for j, t in enumerate(tops)
     ]
     if not projections:
-        return _empty_result(free_t)
+        return FactorizedResult(free_t)
     derived = Hypergraph(vertices=free_t, edges=interfaces)
     if not is_alpha_acyclic(derived):  # pragma: no cover - by construction
         raise InvalidInstanceError(
@@ -579,17 +478,19 @@ def factorize(
         projections, g_children, g_roots, forest.semi, counter, downward=True
     )
     if any(len(rel) == 0 for rel in projections):
-        return _empty_result(free_t)
+        return FactorizedResult(free_t)
     if columnar:
         projections = [
             kernels.to_relation(view, database.kernels.interner, f"A{j}")
             for j, view in enumerate(projections)
         ]
 
-    # Fold into the union/product DAG, memoized per (atom, parent-key).
+    # Bucket each projection by the key it shares with its parent in
+    # the derived join tree: one union node per bucket, one product
+    # node per tuple, linked to its tuples and to one bucket per child.
     key_attrs: list[tuple[str, ...]] = []
-    fresh_attrs: list[tuple[str, ...]] = []
     buckets: list[dict[tuple, list[tuple]]] = []
+    num_nodes = num_edges = 0
     for j, rel in enumerate(projections):
         if j in g_parent:
             shared = tuple(
@@ -599,48 +500,14 @@ def factorize(
         else:
             shared = ()
         key_attrs.append(shared)
-        fresh_attrs.append(tuple(a for a in rel.attributes if a not in shared))
         positions = [rel.position(a) for a in shared]
         bucket: dict[tuple, list[tuple]] = {}
         for t in rel.tuples:
             charge(counter)
             bucket.setdefault(tuple(t[p] for p in positions), []).append(t)
         buckets.append(bucket)
-
-    memo: dict[tuple[int, tuple], object] = {}
-
-    def build(j: int, key: tuple):
-        node = memo.get((j, key))
-        if node is not None:
-            return node
-        rel = projections[j]
-        fresh_positions = [rel.position(a) for a in fresh_attrs[j]]
-        branches = []
-        for t in buckets[j][key]:
-            charge(counter)
-            parts = []
-            if fresh_positions:
-                parts.append(
-                    _Leaf(fresh_attrs[j], tuple(t[p] for p in fresh_positions))
-                )
-            for c in g_children[j]:
-                child_key = tuple(t[rel.position(a)] for a in key_attrs[c])
-                child = build(c, child_key)
-                # × is associative: splice a child product's factors in
-                # instead of nesting it, so the walk enters one product
-                # per tuple it extends.
-                if isinstance(child, _Product):
-                    parts.extend(child.parts)
-                else:
-                    parts.append(child)
-            branches.append(parts[0] if len(parts) == 1 else _Product(tuple(parts)))
-        node = branches[0] if len(branches) == 1 else _Union(tuple(branches))
-        memo[(j, key)] = node
-        return node
-
-    root_parts = tuple(build(r, ()) for r in g_roots)
-    root = root_parts[0] if len(root_parts) == 1 else _Product(root_parts)
-    num_nodes, num_edges = _dag_stats(root)
+        num_nodes += len(bucket) + len(rel)
+        num_edges += len(rel) * (1 + len(g_children[j]))
     observe("factorized.drep_nodes", num_nodes)
 
     # Annotation plans for full queries: each atom lands in exactly one
@@ -672,13 +539,9 @@ def factorize(
             )
     return FactorizedResult(
         free=free_t,
-        method="factorized",
         num_nodes=num_nodes,
         num_edges=num_edges,
-        _root=root,
         _state=_AggState(
-            query=query,
-            full_free=free_t == query.attributes,
             projections=projections,
             buckets=buckets,
             key_attrs=key_attrs,
@@ -686,36 +549,4 @@ def factorize(
             g_roots=g_roots,
             plans=plans,
         ),
-    )
-
-
-def evaluate(
-    query: JoinQuery,
-    database: Database,
-    free: Sequence[str] | None = None,
-    counter: CostCounter | None = None,
-) -> FactorizedResult:
-    """The dichotomy router: factorize when free-connex, else materialize.
-
-    Free-connex acyclic instances get a linear-size d-representation
-    with constant-delay enumeration; everything else — cyclic queries
-    and acyclic-but-non-free-connex projections (e.g. the Boolean
-    matrix multiplication query of
-    :mod:`repro.reductions.bmm_to_enumeration`) — is materialized by
-    :func:`~repro.relational.wcoj.generic_join` and projected flat.
-
-    Complexity: O(N^rho*(H)) worst case (the materialization fallback
-        pays the AGM bound); O(‖D‖ · |A|) on the free-connex path.
-    """
-    free_t = _validated_free(query, free)
-    if is_free_connex(query, free_t):
-        return factorize(query, database, free=free_t, counter=counter)
-    inc("factorized.fallbacks")
-    answer = generic_join(query, database, counter=counter)
-    flat = project(answer, free_t, name="answer")
-    return FactorizedResult(
-        free=free_t,
-        method="wcoj",
-        _flat=flat,
-        _state=_AggState(query=query, full_free=free_t == query.attributes),
     )

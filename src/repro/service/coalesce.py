@@ -71,11 +71,10 @@ class SingleFlight:
         return await task, False
 
     def to_payload(self) -> dict:
-        counters = self.registry.to_payload().get("counters", {})
         return {
             "inflight": len(self._inflight),
-            "leaders": counters.get("coalesce.leaders", 0),
-            "followers": counters.get("coalesce.followers", 0),
+            "leaders": self.registry.counter_value("coalesce.leaders"),
+            "followers": self.registry.counter_value("coalesce.followers"),
         }
 
 

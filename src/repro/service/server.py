@@ -75,6 +75,10 @@ __all__ = [
 #: Schema tag stamped on exported per-request trace documents.
 TRACE_SCHEMA = "repro-service-trace/v1"
 
+#: The telemetry label of every request no endpoint serves, so unknown
+#: paths cannot grow the service's counters and histograms.
+UNKNOWN_ENDPOINT = "unknown"
+
 
 def query_from_payload(payload: dict) -> JoinQuery:
     """Build a :class:`JoinQuery` from a request's ``atoms`` list."""
@@ -128,6 +132,7 @@ def csp_from_payload(payload: dict) -> CSPInstance:
                 seen.add(variable)
                 scope_order.append(variable)
     variables = payload.get("variables", scope_order)
+    _require_list(variables, "solve 'variables'")
     return CSPInstance(variables, domain, constraints)
 
 
@@ -191,6 +196,20 @@ class QueryService:
         self.debug_hold_ms = debug_hold_ms
         self._request_seq = 0
         self._server: asyncio.AbstractServer | None = None
+        #: ``(method, path) -> (telemetry label, handler)``, matched on
+        #: the path without its trailing slash; ``GET /trace/{id}`` is
+        #: the one prefix rule (:meth:`_endpoint`).
+        self._endpoints = {
+            ("POST", "/databases"): ("register", self._handle_register),
+            ("GET", "/databases"): ("databases", self._handle_databases),
+            ("POST", "/query"): ("query", self._handle_query),
+            ("POST", "/solve"): ("solve", self._handle_solve),
+            ("GET", "/metrics"): ("metrics", self._handle_metrics),
+            ("GET", "/healthz"): ("healthz", self._handle_healthz),
+            ("GET", "/slowlog"): ("slowlog", self._handle_slowlog),
+            ("GET", "/dashboard"): ("dashboard", self._handle_dashboard),
+            ("GET", "/trace"): ("trace", self._handle_trace_all),
+        }
 
     # -- request ids ----------------------------------------------------
 
@@ -266,22 +285,21 @@ class QueryService:
 
     # -- dispatch -------------------------------------------------------
 
-    def _endpoint_label(self, request: HttpRequest) -> str:
+    def _endpoint(self, request: HttpRequest):
+        """``(telemetry label, handler)`` of a request; ``handler`` is
+        ``None``, and the label :data:`UNKNOWN_ENDPOINT`, on a miss."""
         path = request.path.rstrip("/") or "/"
-        if path == "/databases":
-            return "register" if request.method == "POST" else "databases"
-        if path == "/query":
-            return "query"
-        if path == "/solve":
-            return "solve"
-        if path.startswith("/trace"):
-            return "trace"
-        return path.lstrip("/") or "root"
+        hit = self._endpoints.get((request.method, path))
+        if hit is not None:
+            return hit
+        if request.method == "GET" and path.startswith("/trace/"):
+            return "trace", self._handle_trace_one
+        return UNKNOWN_ENDPOINT, None
 
     async def dispatch(self, request: HttpRequest) -> bytes:
         """Route one request; always returns serialized response bytes."""
         request_id = self.next_request_id()
-        endpoint = self._endpoint_label(request)
+        endpoint, handler = self._endpoint(request)
         started = time.perf_counter()
         status = 200
         route = ""
@@ -292,7 +310,6 @@ class QueryService:
         shard = -1
         source = ""
         try:
-            handler = self._resolve(request)
             if handler is None:
                 status = 404
                 body = json_response_bytes(
@@ -344,30 +361,6 @@ class QueryService:
             )
         )
         return body
-
-    def _resolve(self, request: HttpRequest):
-        path = request.path.rstrip("/") or "/"
-        if request.method == "POST" and path == "/databases":
-            return self._handle_register
-        if request.method == "GET" and path == "/databases":
-            return self._handle_databases
-        if request.method == "POST" and path == "/query":
-            return self._handle_query
-        if request.method == "POST" and path == "/solve":
-            return self._handle_solve
-        if request.method == "GET" and path == "/metrics":
-            return self._handle_metrics
-        if request.method == "GET" and path == "/healthz":
-            return self._handle_healthz
-        if request.method == "GET" and path == "/slowlog":
-            return self._handle_slowlog
-        if request.method == "GET" and path == "/dashboard":
-            return self._handle_dashboard
-        if request.method == "GET" and path == "/trace":
-            return self._handle_trace_all
-        if request.method == "GET" and path.startswith("/trace/"):
-            return self._handle_trace_one
-        return None
 
     # -- endpoint handlers ----------------------------------------------
     # Each returns (status, response_bytes, extras) where extras feeds
@@ -620,14 +613,15 @@ class QueryService:
         return payload
 
     async def _handle_healthz(self, request: HttpRequest, request_id: str):
-        counters = self.telemetry.registry.to_payload().get("counters", {})
         body = json_response_bytes(
             200,
             {
                 "status": "ok",
                 "request_id": request_id,
                 "databases": len(self.store),
-                "requests_total": counters.get("requests.total", 0),
+                "requests_total": self.telemetry.registry.counter_value(
+                    "requests.total"
+                ),
             },
         )
         return 200, body, {}

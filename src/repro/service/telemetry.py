@@ -183,6 +183,15 @@ class RequestRecord:
         }
 
 
+def _by_prefix(counters: dict[str, int], prefix: str) -> dict[str, int]:
+    """The counters named ``prefix + key``, keyed by ``key``."""
+    return {
+        name[len(prefix):]: value
+        for name, value in counters.items()
+        if name.startswith(prefix)
+    }
+
+
 class ServiceTelemetry:
     """The service-scope aggregate: registry + windows + logs + ring.
 
@@ -263,30 +272,18 @@ class ServiceTelemetry:
         records = list(self._requests.values())
         return records if limit is None else records[-limit:]
 
-    def route_mix(self) -> dict[str, int]:
-        payload = self.registry.to_payload().get("counters", {})
-        prefix = "requests.route."
-        return {
-            name[len(prefix):]: value
-            for name, value in payload.items()
-            if name.startswith(prefix)
-        }
-
-    def semiring_mix(self) -> dict[str, int]:
-        """Aggregate-mode requests by semiring name (empty until one)."""
-        payload = self.registry.to_payload().get("counters", {})
-        prefix = "requests.semiring."
-        return {
-            name[len(prefix):]: value
-            for name, value in payload.items()
-            if name.startswith(prefix)
-        }
-
     def snapshot(self) -> dict:
-        """The ``/metrics`` payload: everything, JSON-safe, sorted keys."""
+        """The ``/metrics`` payload: everything, JSON-safe, sorted keys.
+
+        Serializes the registry once; ``route_mix`` and
+        ``semiring_mix`` (aggregate-mode requests by semiring, empty
+        until one) are views of its counters.
+        """
+        registry = self.registry.to_payload()
+        counters = registry.get("counters", {})
         return {
-            "counters": self.registry.to_payload().get("counters", {}),
-            "gauges": self.registry.to_payload().get("gauges", {}),
+            "counters": counters,
+            "gauges": registry.get("gauges", {}),
             "endpoints": {
                 name: hist.summary()
                 for name, hist in sorted(self.endpoint_latency.items())
@@ -295,8 +292,8 @@ class ServiceTelemetry:
                 name: hist.summary()
                 for name, hist in sorted(self.route_latency.items())
             },
-            "route_mix": self.route_mix(),
-            "semiring_mix": self.semiring_mix(),
+            "route_mix": _by_prefix(counters, "requests.route."),
+            "semiring_mix": _by_prefix(counters, "requests.semiring."),
             "latency_histograms": {
                 name: hist.to_payload()
                 for name, hist in sorted(self.endpoint_latency.items())

@@ -1,23 +1,29 @@
-"""Factorized results agree byte-for-byte with the flat engines.
+"""Factorized results and routed answers agree byte-for-byte with the
+flat engines.
 
-The dichotomy router (`repro.relational.factorized.evaluate`) must be
+The router (`repro.relational.router.execute_route`) must be
 observationally equivalent to materialize-then-project on every query
-— free-connex acyclic instances served from a d-representation, cyclic
-and non-free-connex instances from the WCOJ fallback — on both
-backends, with identical op totals across backends.
+— free-connex acyclic instances served from a factorized
+representation, every other instance materialized flat — on both
+backends, with identical op totals across backends. A factorized
+result's `materialize()`, constant-delay `enumerate()` walk and
+`count()` must agree with each other.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.counting import CostCounter
+from repro.errors import SchemaError
 from repro.generators.agm import uniform_random_database
 from repro.observability.metrics import MetricsRegistry, activate_metrics
 from repro.relational.algebra import project
 from repro.relational.database import Database
-from repro.relational.factorized import evaluate, factorize, is_free_connex
+from repro.relational.factorized import factorize, is_free_connex
 from repro.relational.query import Atom, JoinQuery
 from repro.relational.relation import Relation
+from repro.relational.router import decide_route, execute_route
 from repro.relational.wcoj import generic_join
 
 SHAPES = {
@@ -44,6 +50,12 @@ def _reference(query, database, free):
     return repr(sorted(flat.tuples)).encode()
 
 
+def _expected_route(shape, query, free):
+    if is_free_connex(query, free):
+        return "factorized"
+    return "yannakakis" if shape in ACYCLIC else "wcoj"
+
+
 @given(
     shape=st.sampled_from(sorted(SHAPES)),
     mask=st.integers(1, 2**6 - 1),
@@ -59,14 +71,13 @@ def test_router_matches_flat_projection_byte_for_byte(
     free = _free_subset(query, mask)
     database = uniform_random_database(query, size, domain, seed=seed)
     expected = _reference(query, database, free)
-    result = evaluate(query, database, free=free)
-    assert repr(sorted(result.materialize().tuples)).encode() == expected
-    assert repr(sorted(result.enumerate())).encode() == expected
-    assert result.count() == len(set(project(
-        generic_join(query, database), free
-    ).tuples))
-    expected_method = "factorized" if is_free_connex(query, free) else "wcoj"
-    assert result.method == expected_method
+    routed = execute_route(query, database, free=free)
+    assert repr(sorted(routed.relation.tuples)).encode() == expected
+    assert routed.decision.route == _expected_route(shape, query, free)
+    if routed.decision.route == "factorized":
+        result = factorize(query, database, free=free)
+        assert repr(sorted(result.enumerate())).encode() == expected
+        assert result.count() == len(routed.relation)
 
 
 @given(
@@ -83,13 +94,16 @@ def test_router_backend_parity(shape, mask, size, domain, seed):
     naive = uniform_random_database(query, size, domain, seed=seed)
     columnar = naive.with_backend("columnar")
     c1, c2 = CostCounter(), CostCounter()
-    r1 = evaluate(query, naive, free=free, counter=c1)
-    r2 = evaluate(query, columnar, free=free, counter=c2)
-    assert sorted(r1.materialize().tuples) == sorted(r2.materialize().tuples)
-    assert r1.count() == r2.count()
-    assert r1.method == r2.method
-    assert r1.num_nodes == r2.num_nodes
+    r1 = execute_route(query, naive, free=free, counter=c1)
+    r2 = execute_route(query, columnar, free=free, counter=c2)
+    assert sorted(r1.relation.tuples) == sorted(r2.relation.tuples)
+    assert r1.decision == r2.decision
     assert c1.total == c2.total
+    if r1.decision.route == "factorized":
+        f1 = factorize(query, naive, free=free)
+        f2 = factorize(query, columnar, free=free)
+        assert (f1.num_nodes, f1.num_edges) == (f2.num_nodes, f2.num_edges)
+        assert f1.count() == f2.count() == len(r1.relation)
 
 
 @given(
@@ -102,9 +116,11 @@ def test_router_backend_parity(shape, mask, size, domain, seed):
 def test_cyclic_queries_route_to_wcoj(shape, size, domain, seed):
     query = SHAPES[shape]()
     database = uniform_random_database(query, size, domain, seed=seed)
-    result = evaluate(query, database)
-    assert result.method == "wcoj"
-    assert result.num_nodes == 0
+    routed = execute_route(query, database)
+    assert routed.decision.route == "wcoj"
+    assert routed.relation.tuples == generic_join(query, database).tuples
+    with pytest.raises(SchemaError):
+        factorize(query, database)
 
 
 @given(
@@ -118,7 +134,7 @@ def test_full_acyclic_queries_factorize(shape, size, domain, seed):
     query = SHAPES[shape]()
     database = uniform_random_database(query, size, domain, seed=seed)
     result = factorize(query, database)
-    assert result.method == "factorized"
+    assert decide_route(query).route == "factorized"
     expected = _reference(query, database, query.attributes)
     assert repr(sorted(result.materialize().tuples)).encode() == expected
 
@@ -160,21 +176,22 @@ def test_non_free_connex_fixtures():
 def test_fixture_routing_and_agreement():
     for query, free in FREE_CONNEX_FIXTURES + NON_FREE_CONNEX_FIXTURES:
         database = uniform_random_database(query, 15, 4, seed=11)
-        result = evaluate(query, database, free=free)
+        routed = execute_route(query, database, free=free)
         expected = _reference(query, database, free)
-        assert repr(sorted(result.materialize().tuples)).encode() == expected
+        assert repr(sorted(routed.relation.tuples)).encode() == expected
         fc = is_free_connex(query, free)
-        assert result.method == ("factorized" if fc else "wcoj")
+        assert (routed.decision.route == "factorized") == fc
 
 
 # -- the bulk materialize against the constant-delay walk -------------
 
 
 def _assert_bulk_matches_walk(query, database, free):
-    """``materialize()`` is ``set(enumerate())`` over ``free``, and it
+    """``materialize()`` holds exactly the answers the walk yields over
+    ``free``, the walk yields each one once, and ``materialize()``
     neither charges the build's counter nor observes any metric."""
     counter = CostCounter()
-    result = evaluate(query, database, free=free, counter=counter)
+    result = factorize(query, database, free=free, counter=counter)
     built = counter.total
     registry = MetricsRegistry()
     with activate_metrics(registry):
@@ -182,8 +199,9 @@ def _assert_bulk_matches_walk(query, database, free):
     assert counter.total == built
     assert registry.to_payload() == {}
     assert flat.attributes == tuple(free)
-    assert flat.tuples == set(result.enumerate())
-    assert len(flat) == result.count()
+    walked = list(result.enumerate())
+    assert sorted(walked) == sorted(flat.tuples)
+    assert len(walked) == result.count()
     return flat
 
 
@@ -200,11 +218,16 @@ def test_bulk_materialize_equals_the_walk(shape, mask, size, domain, seed, backe
     query = SHAPES[shape]()
     free = _free_subset(query, mask)
     database = uniform_random_database(query, size, domain, seed=seed)
-    _assert_bulk_matches_walk(query, database.with_backend(backend), free)
+    database = database.with_backend(backend)
+    if not is_free_connex(query, free):
+        with pytest.raises(SchemaError):
+            factorize(query, database, free=free)
+        return
+    _assert_bulk_matches_walk(query, database, free)
 
 
 def test_bulk_materialize_on_fixtures_and_empty_answers():
-    for query, free in FREE_CONNEX_FIXTURES + NON_FREE_CONNEX_FIXTURES:
+    for query, free in FREE_CONNEX_FIXTURES:
         database = uniform_random_database(query, 15, 4, seed=11)
         for backend in ("naive", "columnar"):
             flat = _assert_bulk_matches_walk(

@@ -1,4 +1,4 @@
-"""Unit tests for the factorized engine, the dichotomy router, and the
+"""Unit tests for the factorized engine, its routing, and the
 delay-measurement contract."""
 
 import pytest
@@ -13,9 +13,10 @@ from repro.relational.enumeration import (
     enumerate_nested_loop,
     measure_delays,
 )
-from repro.relational.factorized import evaluate, factorize, is_free_connex
+from repro.relational.factorized import factorize, is_free_connex
 from repro.relational.query import Atom, JoinQuery
 from repro.relational.relation import Relation
+from repro.relational.router import decide_route, execute_route
 
 
 def hub_star(n):
@@ -33,14 +34,25 @@ class TestFactorize:
         small = factorize(query, hub_star(20))
         large = factorize(query, hub_star(80))
         assert small.count() == 400 and large.count() == 6400
-        # d-rep grows linearly: 4x the data, ~4x the nodes, 16x answers.
+        # The size grows linearly: 4x the data, ~4x the nodes, 16x answers.
         assert large.num_nodes <= 4 * small.num_nodes + 8
+
+    @pytest.mark.parametrize("n", [1, 5, 20])
+    def test_size_on_the_hub_star(self, n):
+        # Two projections of n tuples each, one bucket apiece: 2 union
+        # nodes + 2n product nodes; 2n bucket->tuple links plus one
+        # tuple->child-bucket link per tuple of the root projection.
+        result = factorize(JoinQuery.star(2), hub_star(n))
+        assert result.num_nodes == 2 * n + 2
+        assert result.num_edges == 3 * n
 
     def test_count_without_enumeration(self):
         query = JoinQuery.path(3)
         database = uniform_random_database(query, 30, 4, seed=5)
         result = factorize(query, database)
-        assert result.count() == len(set(result.enumerate()))
+        walked = list(result.enumerate())
+        assert len(walked) == result.count()
+        assert sorted(walked) == sorted(result.materialize().tuples)
 
     def test_materialize_attribute_order_is_free_order(self):
         query = JoinQuery.path(2)
@@ -114,20 +126,18 @@ class TestFactorize:
 class TestRouter:
     def test_free_connex_routes_to_factorized(self):
         query = JoinQuery.path(3)
-        database = uniform_random_database(query, 15, 4, seed=2)
-        assert evaluate(query, database, free=("a0", "a1")).method == "factorized"
+        assert decide_route(query, free=("a0", "a1")).route == "factorized"
 
     def test_bmm_projection_falls_back(self):
         query = JoinQuery.star(2)
-        result = evaluate(query, hub_star(6), free=("l0", "l1"))
-        assert result.method == "wcoj"
-        assert result.count() == 36
+        routed = execute_route(query, hub_star(6), free=("l0", "l1"))
+        assert routed.decision.route == "yannakakis"
+        assert len(routed.relation) == 36
 
     def test_cyclic_falls_back(self):
         query = JoinQuery.triangle()
         database = uniform_random_database(query, 12, 4, seed=3)
-        result = evaluate(query, database)
-        assert result.method == "wcoj"
+        assert execute_route(query, database).decision.route == "wcoj"
 
 
 class TestEnumerateAcyclicProjection:

@@ -8,7 +8,7 @@ from repro.errors import InvalidInstanceError, SchemaError
 from repro.generators.agm import uniform_random_database
 from repro.hypergraph.acyclicity import join_tree
 from repro.relational.database import Database
-from repro.relational.factorized import evaluate, factorize
+from repro.relational.factorized import factorize
 from repro.relational.query import JoinQuery
 from repro.relational.relation import Relation
 from repro.relational.semiring import (
@@ -178,7 +178,7 @@ class TestEngines:
     def test_factorized_aggregate_projection_needs_annotation_free(self):
         query = JoinQuery.path(3)
         database = uniform_random_database(query, 15, 4, seed=3)
-        projected = evaluate(query, database, free=("a0", "a1"))
+        projected = factorize(query, database, free=("a0", "a1"))
         assert projected.aggregate(COUNTING) == projected.count()
         with pytest.raises(InvalidInstanceError, match="free = all"):
             projected.aggregate(MIN_PLUS)

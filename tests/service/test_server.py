@@ -171,6 +171,68 @@ class TestStringShapedLists:
 
         run_service(body)
 
+    def test_string_variables_is_400(self):
+        async def body(service, host, port, client):
+            solve = {
+                "domain": [0, 1],
+                "constraints": [{"scope": ["a", "b"], "allowed": [[0, 1]]}],
+            }
+            status, payload = await client.request(
+                "POST", "/solve", dict(solve, variables="ab")
+            )
+            assert status == 400 and "'variables'" in payload["error"]
+            status, payload = await client.request(
+                "POST", "/solve", dict(solve, variables=["b", "a"])
+            )
+            assert status == 200 and payload["variables"] == ["b", "a"]
+            return None
+
+        run_service(body)
+
+
+class TestEndpointLabels:
+    def test_unknown_paths_and_wrong_methods_share_one_label(self):
+        async def main():
+            service = QueryService()
+            requests = [HttpRequest("GET", f"/nope/{i}") for i in range(40)]
+            requests += [HttpRequest("GET", "/query"), HttpRequest("GET", "/")]
+            heads = []
+            for request in requests:
+                data = await service.dispatch(request)
+                heads.append(data.partition(b"\r\n")[0])
+            return service, heads
+
+        service, heads = asyncio.run(main())
+        assert heads == [b"HTTP/1.1 404 Not Found"] * 42
+        snapshot = service.telemetry.snapshot()
+        assert set(snapshot["endpoints"]) == {"unknown"}
+        assert snapshot["endpoints"]["unknown"]["count"] == 42
+        assert [
+            name for name in snapshot["counters"]
+            if name.startswith("requests.endpoint.")
+        ] == ["requests.endpoint.unknown"]
+        assert snapshot["counters"]["requests.endpoint.unknown"] == 42
+
+    def test_served_endpoints_keep_their_labels(self):
+        async def main():
+            service = QueryService()
+            for method, path in [
+                ("GET", "/databases"),
+                ("GET", "/metrics/"),
+                ("GET", "/healthz"),
+                ("GET", "/slowlog"),
+                ("GET", "/trace"),
+                ("GET", "/trace/r000001"),
+            ]:
+                await service.dispatch(HttpRequest(method, path))
+            return service
+
+        service = asyncio.run(main())
+        labels = [r.endpoint for r in service.telemetry.recent_requests()]
+        assert labels == [
+            "databases", "metrics", "healthz", "slowlog", "trace", "trace",
+        ]
+
 
 class TestMalformedBodies:
     def test_over_deep_json_is_400_with_one_telemetry_record(self):

@@ -1,8 +1,12 @@
 """Windowed latency histograms, the slow-query log, the request ring."""
 
+import asyncio
+
 import pytest
 
 from repro.errors import InvalidInstanceError
+from repro.service import QueryService
+from repro.service.http import HttpRequest
 from repro.service.telemetry import (
     LATENCY_BUCKETS_MS,
     RequestRecord,
@@ -106,3 +110,33 @@ class TestServiceTelemetry:
         assert telemetry.request("r1") is None
         assert telemetry.request("r3") is not None
         assert [r.request_id for r in telemetry.recent_requests()] == ["r2", "r3"]
+
+
+class TestRegistrySerialization:
+    def test_one_scrape_serializes_the_registry_once(self, monkeypatch):
+        service = QueryService()
+        registry = service.telemetry.registry
+        service.telemetry.observe_request(record("r1", route="wcoj"))
+        registry.counter("requests.semiring.counting").inc()
+        calls = []
+        serialize = registry.to_payload
+
+        def counting_to_payload():
+            calls.append(1)
+            return serialize()
+
+        monkeypatch.setattr(registry, "to_payload", counting_to_payload)
+        payload = service.metrics_payload()
+        assert len(calls) == 1
+        assert payload["telemetry"]["route_mix"] == {"wcoj": 1}
+        assert payload["telemetry"]["semiring_mix"] == {"counting": 1}
+        assert payload["coalesce"] == {"inflight": 0, "leaders": 0, "followers": 0}
+        asyncio.run(service.dispatch(HttpRequest("GET", "/healthz")))
+        assert len(calls) == 1
+
+    def test_counter_value_creates_nothing(self):
+        telemetry = ServiceTelemetry()
+        assert telemetry.registry.counter_value("coalesce.leaders") == 0
+        assert telemetry.registry.empty
+        telemetry.registry.counter("coalesce.leaders").inc(3)
+        assert telemetry.registry.counter_value("coalesce.leaders") == 3
