@@ -1,0 +1,104 @@
+"""Planning scales linearly in the number of atoms.
+
+Routing a query runs the GYO structure pass once per hypergraph the
+route needs (:func:`~repro.relational.router.decide_route`), and the
+acyclic engines run on the forests it records instead of re-deriving
+them. With a vertex → edge incidence index the pass is linear on
+bounded-degree queries, so the wall time of ``decide_route`` plus
+``run_route`` must grow like the op count, linearly in the number of
+atoms. An all-pairs GYO grows roughly as the cube here; this bench
+fails if the fitted log-log exponent of the time over the atom count
+exceeds :data:`MAX_EXPONENT`.
+
+Two families, on the columnar backend:
+
+* boolean path queries ``R_1(a_0, a_1), …, R_n(a_{n-1}, a_n)``, one
+  100-edge relation per atom: ``decide_route`` + ``run_route``;
+* cycle queries of the same lengths: ``decide_route`` alone (their
+  Boolean evaluation is the Generic Join, whose cost is the data's).
+
+Sizes, repeats and the bound are fixed here; the bench reads no
+environment settings. Each time is the best of :data:`REPEATS` calls,
+after a warm-up call that builds the per-relation indexes.
+"""
+
+import math
+import random
+import statistics
+import time
+
+from repro.relational.database import Database
+from repro.relational.query import JoinQuery
+from repro.relational.relation import Relation
+from repro.relational.router import decide_route, run_route
+
+SIZES = (100, 200, 400, 800, 1600)
+REPEATS = 3
+MAX_EXPONENT = 1.3
+EDGES_PER_RELATION = 100
+DOMAIN = 30
+
+
+def _path_database(atoms: int, rng: random.Random) -> Database:
+    relations = []
+    for i in range(atoms):
+        edges: set[tuple[int, int]] = set()
+        while len(edges) < EDGES_PER_RELATION:
+            edges.add((rng.randrange(DOMAIN), rng.randrange(DOMAIN)))
+        relations.append(Relation(f"R{i + 1}", ("x", "y"), sorted(edges)))
+    return Database(relations).with_backend("columnar")
+
+
+def _best_of(fn) -> float:
+    best = math.inf
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def _exponent(sizes, seconds) -> float:
+    """Least-squares slope of log(seconds) over log(size)."""
+    xs = [math.log(n) for n in sizes]
+    ys = [math.log(s) for s in seconds]
+    mx, my = statistics.fmean(xs), statistics.fmean(ys)
+    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum(
+        (x - mx) ** 2 for x in xs
+    )
+
+
+def test_path_planning_and_evaluation_are_linear():
+    rng = random.Random(16)
+    seconds = []
+    for n in SIZES:
+        query = JoinQuery.path(n)
+        database = _path_database(n, rng)
+        decision = decide_route(query, mode="boolean")
+        warm = run_route(query, database, decision)
+        assert decision.route == "yannakakis" and warm.nonempty is not None
+
+        def plan_and_run():
+            run_route(query, database, decide_route(query, mode="boolean"))
+
+        seconds.append(_best_of(plan_and_run))
+        print(f"path n={n}: decide+run {seconds[-1] * 1e3:.1f} ms, ops {warm.ops}")
+    exponent = _exponent(SIZES, seconds)
+    print(f"path decide+run exponent {exponent:.2f} (bound {MAX_EXPONENT})")
+    assert exponent <= MAX_EXPONENT, (
+        f"decide_route + run_route grows as n^{exponent:.2f} over {SIZES} atoms"
+    )
+
+
+def test_cycle_routing_is_linear():
+    seconds = []
+    for n in SIZES:
+        query = JoinQuery.cycle(n)
+        assert decide_route(query, mode="boolean").route == "wcoj"
+        seconds.append(_best_of(lambda: decide_route(query, mode="boolean")))
+        print(f"cycle n={n}: decide {seconds[-1] * 1e3:.2f} ms")
+    exponent = _exponent(SIZES, seconds)
+    print(f"cycle decide exponent {exponent:.2f} (bound {MAX_EXPONENT})")
+    assert exponent <= MAX_EXPONENT, (
+        f"decide_route grows as n^{exponent:.2f} over {SIZES}-atom cycles"
+    )

@@ -1,120 +1,140 @@
-"""α-acyclicity via GYO reduction, and join trees (§4).
+"""α-acyclicity via GYO reduction, and join forests (§4).
 
 Acyclic queries are the classical tractable case the paper contrasts
 with bounded treewidth: an acyclic Boolean join query is solvable in
 polynomial time (Yannakakis), and the GYO reduction both recognizes
-acyclicity and produces the join tree that drives the semijoin program.
+acyclicity and produces the join tree that drives the semijoin program:
+:func:`gyo` does both in one pass, which the query router runs once per
+prepared plan (:func:`~repro.relational.router.decide_route`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable
+from dataclasses import dataclass
 
 from ..errors import InvalidInstanceError
 from .hypergraph import Hypergraph
 
-Vertex = Hashable
+#: A rooted join forest: ``(child, parent)`` edge-index links, by child.
+Links = tuple[tuple[int, int], ...]
+
+
+@dataclass(frozen=True)
+class GYO:
+    """One GYO reduction: removed edges in elimination order, each edge's
+    witness (the live edge containing it when removed, else ``-1``), and
+    the residue no rule removes — empty iff the input is α-acyclic."""
+
+    order: tuple[int, ...]
+    witness: tuple[int, ...]
+    residue: tuple[int, ...]
+
+    def forest(self, root: int | None = None) -> Links:
+        """The witness links, each component rooted at its lowest-index
+        edge (``root``'s at ``root``): on an α-acyclic input, a join forest
+        (a removed edge shares with live edges only its witness's vertices)."""
+        adjacent: list[list[int]] = [[] for _ in self.witness]
+        for child, parent in enumerate(self.witness):
+            if parent >= 0:
+                adjacent[child].append(parent)
+                adjacent[parent].append(child)
+        parents: list[int | None] = [None] * len(adjacent)
+        starts = ([] if root is None else [root]) + list(range(len(adjacent)))
+        for start in starts:
+            if parents[start] is None:
+                parents[start], stack = -1, [start]
+                while stack:
+                    node = stack.pop()
+                    for neighbor in adjacent[node]:
+                        if parents[neighbor] is None:
+                            parents[neighbor] = node
+                            stack.append(neighbor)
+        return tuple((c, p) for c, p in enumerate(parents) if p >= 0)
+
+
+def gyo(hypergraph: Hypergraph) -> GYO:
+    """The Graham–Yu–Özsoyoğlu reduction, recording its witnesses.
+
+    Repeatedly (a) drop *ear* vertices that lie in one live edge only,
+    and (b) remove a live edge that is empty or contained in another,
+    its witness. A vertex → edge incidence index finds both without
+    rescanning: (a) fires when a removal leaves a vertex one holder, and
+    (b) re-tests an edge only after it lost a vertex (live edges only
+    shrink). Edges are tested highest index first against the
+    lowest-index container, so a star stays a star around its first
+    edge; vertices are numbered in ``hypergraph`` order, so no result
+    depends on set iteration order.
+
+    Complexity: O(r² · d · |E|) for |E| edges of arity at most r whose
+        vertices lie in at most d edges each — linear on paths, cycles
+        and every other bounded-degree, bounded-arity query.
+    """
+    ids = {v: k for k, v in enumerate(hypergraph.vertices)}
+    ordered = [sorted(ids[v] for v in edge) for edge in hypergraph.edges]
+    live = [set(edge) for edge in ordered]
+    holders: dict[int, dict[int, None]] = {}
+    for i, edge in enumerate(ordered):
+        for v in edge:
+            holders.setdefault(v, {})[i] = None
+    for v in [v for v, edges in holders.items() if len(edges) == 1]:
+        live[next(iter(holders.pop(v)))].discard(v)
+    witness = [-1] * len(live)
+    order: list[int] = []
+    pending = list(range(len(live)))
+    while pending:
+        i = pending.pop()
+        edge = live[i]
+        if edge is None:
+            continue
+        if edge:
+            pivot = min(edge, key=lambda v: len(holders[v]))
+            witness[i] = next(
+                (j for j in holders[pivot] if j != i and edge <= live[j]), -1
+            )
+            if witness[i] < 0:
+                continue
+        live[i] = None
+        order.append(i)
+        for v in ordered[i]:
+            if v in edge:
+                del holders[v][i]
+                if len(holders[v]) == 1:
+                    j = next(iter(holders.pop(v)))
+                    live[j].discard(v)
+                    pending.append(j)
+    residue = tuple(i for i, edge in enumerate(live) if edge is not None)
+    return GYO(tuple(order), tuple(witness), residue)
 
 
 def gyo_reduction(hypergraph: Hypergraph) -> tuple[list[frozenset], list[frozenset]]:
-    """Run the Graham–Yu–Özsoyoğlu reduction.
+    """Run the GYO reduction (:func:`gyo`).
 
-    Repeatedly (a) remove *ear* vertices that appear in exactly one
-    hyperedge, and (b) remove hyperedges contained in another hyperedge.
-    Returns ``(eliminated, remaining)``: the edges removed as ears (in
+    Returns ``(eliminated, remaining)``: the edges removed (in
     elimination order) and the edges left when no rule applies. The
-    hypergraph is α-acyclic iff nothing (or a single empty trace)
-    remains.
+    hypergraph is α-acyclic iff nothing remains.
     """
-    edges: list[set] = [set(e) for e in hypergraph.edges]
-    original: list[frozenset] = list(hypergraph.edges)
-    alive = [True] * len(edges)
-    eliminated: list[frozenset] = []
-
-    changed = True
-    while changed:
-        changed = False
-        # Rule (a): drop vertices occurring in exactly one live edge.
-        occurrence: dict[Vertex, int] = {}
-        for i, e in enumerate(edges):
-            if alive[i]:
-                for v in e:
-                    occurrence[v] = occurrence.get(v, 0) + 1
-        for i, e in enumerate(edges):
-            if alive[i]:
-                lone = {v for v in e if occurrence[v] == 1}
-                if lone:
-                    e -= lone
-                    changed = True
-        # Rule (b): drop edges contained in another live edge (or empty).
-        for i, e in enumerate(edges):
-            if not alive[i]:
-                continue
-            if not e:
-                alive[i] = False
-                eliminated.append(original[i])
-                changed = True
-                continue
-            for j, other in enumerate(edges):
-                if i != j and alive[j] and e <= other:
-                    alive[i] = False
-                    eliminated.append(original[i])
-                    changed = True
-                    break
-    remaining = [original[i] for i in range(len(edges)) if alive[i]]
-    return eliminated, remaining
+    reduction, edges = gyo(hypergraph), hypergraph.edges
+    return [edges[i] for i in reduction.order], [edges[i] for i in reduction.residue]
 
 
 def is_alpha_acyclic(hypergraph: Hypergraph) -> bool:
     """True iff the GYO reduction eliminates every hyperedge."""
-    if hypergraph.num_edges == 0:
-        return True
-    __, remaining = gyo_reduction(hypergraph)
-    return not remaining
+    return not gyo(hypergraph).residue
 
 
 def join_tree(hypergraph: Hypergraph) -> list[tuple[int, int]]:
-    """Build a join tree for an α-acyclic hypergraph.
+    """A join forest of an α-acyclic hypergraph.
 
-    Returns parent links ``(child_edge_index, parent_edge_index)``; the
-    root has no entry. Constructed by the maximal-spanning-tree
-    characterization: weight edges of the intersection graph by
-    ``|e_i ∩ e_j|`` and take a maximum spanning forest; for α-acyclic
-    hypergraphs this satisfies the running intersection property.
+    Returns the GYO witness links ``(child_edge_index,
+    parent_edge_index)`` of :meth:`GYO.forest`, by child, each component
+    rooted at its lowest-index edge; they satisfy running intersection.
 
     Raises
     ------
     InvalidInstanceError
         If the hypergraph is not α-acyclic.
     """
-    if not is_alpha_acyclic(hypergraph):
+    reduction = gyo(hypergraph)
+    if reduction.residue:
         raise InvalidInstanceError("join trees exist only for alpha-acyclic hypergraphs")
-    edges = hypergraph.edges
-    n = len(edges)
-    if n <= 1:
-        return []
-
-    # Prim-style maximum spanning forest over the intersection weights.
-    links: list[tuple[int, int]] = []
-    in_tree: set[int] = set()
-    for start in range(n):
-        if start in in_tree:
-            continue
-        in_tree.add(start)
-        component = {start}
-        while True:
-            best: tuple[int, int, int] | None = None  # (weight, child, parent)
-            for i in range(n):
-                if i in in_tree:
-                    continue
-                for j in component:
-                    weight = len(edges[i] & edges[j])
-                    if best is None or weight > best[0]:
-                        best = (weight, i, j)
-            if best is None or best[0] == 0:
-                break
-            __, child, parent = best
-            links.append((child, parent))
-            in_tree.add(child)
-            component.add(child)
-    return links
+    return list(reduction.forest())

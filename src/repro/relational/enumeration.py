@@ -33,9 +33,8 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from ..counting import CostCounter, charge
-from ..errors import SchemaError
 from .database import Database
-from .factorized import factorize, is_free_connex
+from .factorized import factorize
 from .query import JoinQuery
 from .relation import Value
 
@@ -113,13 +112,6 @@ def enumerate_acyclic(
         the bucketing of the reduced projections), then O(|Q|) delay
         per answer, independent of the answer count.
     """
-    if not is_free_connex(query, free):
-        raise SchemaError(
-            "constant-delay enumeration requires a free-connex acyclic "
-            "query (alpha-acyclic, for a full query); this instance falls "
-            "on the hard side of the dichotomy — materialize via "
-            "router.execute_route instead"
-        )
     yield from factorize(query, database, free=free, counter=counter).enumerate(
         counter
     )

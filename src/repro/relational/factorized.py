@@ -46,7 +46,7 @@ from operator import itemgetter
 
 from ..counting import CostCounter, charge
 from ..errors import InvalidInstanceError, SchemaError
-from ..hypergraph.acyclicity import is_alpha_acyclic, join_tree
+from ..hypergraph.acyclicity import Links, gyo, is_alpha_acyclic
 from ..hypergraph.hypergraph import Hypergraph
 from ..observability.metrics import SMALL_BUCKETS, inc, observe
 from .algebra import project
@@ -55,7 +55,7 @@ from .query import JoinQuery
 from .relation import Relation, Value
 from .semiring import COUNTING, Semiring, fold_tuple
 from . import kernels
-from .yannakakis import reduced_join_forest, semijoin_reduce, tree_links
+from .yannakakis import join_forest, reduced_join_forest, semijoin_reduce, tree_links
 
 
 def _getter(positions: Sequence[int]) -> Callable[[tuple], tuple]:
@@ -328,7 +328,8 @@ def _validated_free(
         raise SchemaError("free-variable tuple must not be empty")
     if len(set(out)) != len(out):
         raise SchemaError(f"duplicate free variables in {out!r}")
-    unknown = [a for a in out if a not in query.attributes]
+    known = set(query.attributes)
+    unknown = [a for a in out if a not in known]
     if unknown:
         raise SchemaError(f"free variables {unknown!r} not in query attributes")
     return out
@@ -348,9 +349,8 @@ def is_free_connex(query: JoinQuery, free: Sequence[str] | None = None) -> bool:
     True iff the query hypergraph is α-acyclic *and* stays α-acyclic
     after adding one hyperedge over the free variables. With
     ``free=None`` (full query) this degenerates to plain α-acyclicity.
-    This predicate is the eligibility test of the router's
-    ``factorized`` route (:func:`~repro.relational.router.decide_route`)
-    and of projected :func:`~repro.relational.enumeration.enumerate_acyclic`.
+    The router and :func:`factorize` make the same test while building
+    their forests (:func:`free_connex_forests`).
     """
     free_t = _validated_free(query, free)
     if not is_alpha_acyclic(query.hypergraph()):
@@ -361,35 +361,31 @@ def is_free_connex(query: JoinQuery, free: Sequence[str] | None = None) -> bool:
 # -- construction -----------------------------------------------------
 
 
-def _rooted_at(
-    num_nodes: int, links: list[tuple[int, int]], root: int
-) -> tuple[dict[int, list[int]], dict[int, int], list[int]]:
-    """Re-orient a join forest so ``root``'s component hangs below it.
+def free_connex_forests(
+    query: JoinQuery, free: tuple[str, ...], join: Links
+) -> tuple[Links, Links] | None:
+    """The join forests :func:`factorize` runs on, given the α-acyclic
+    query's own (``join``); ``None`` if ``(query, free)`` is not free-connex.
 
-    Components not containing ``root`` keep their original orientation.
+    ``extended`` spans the extended hypergraph, rooted at the free edge
+    ``F`` (index ``len(query.atoms)``); ``derived`` spans the free
+    interfaces of ``F``'s children. A full query needs no GYO pass: the
+    star around ``F`` is an extended forest and the derived hypergraph
+    is the query's own. A strict projection runs one pass on each.
     """
-    adjacency: dict[int, list[int]] = {i: [] for i in range(num_nodes)}
-    for child, par in links:
-        adjacency[child].append(par)
-        adjacency[par].append(child)
-    children: dict[int, list[int]] = {i: [] for i in range(num_nodes)}
-    parent: dict[int, int] = {}
-    seen = {root}
-    queue = [root]
-    while queue:
-        node = queue.pop(0)
-        for neighbor in adjacency[node]:
-            if neighbor not in seen:
-                seen.add(neighbor)
-                parent[neighbor] = node
-                children[node].append(neighbor)
-                queue.append(neighbor)
-    for child, par in links:
-        if child not in seen and par not in seen:
-            children[par].append(child)
-            parent[child] = par
-    roots = [i for i in range(num_nodes) if i not in parent]
-    return children, parent, roots
+    f_index = len(query.atoms)
+    if len(free) == len(query.attributes):
+        return tuple((i, f_index) for i in range(f_index)), join
+    reduction = gyo(extended_hypergraph(query, free))
+    if reduction.residue:
+        return None
+    extended, free_set = reduction.forest(root=f_index), set(free)
+    interfaces = [
+        free_set.intersection(query.atoms[child].attributes)
+        for child, parent in extended
+        if parent == f_index
+    ]
+    return extended, gyo(Hypergraph(vertices=free, edges=interfaces)).forest()
 
 
 def factorize(
@@ -397,17 +393,22 @@ def factorize(
     database: Database,
     free: Sequence[str] | None = None,
     counter: CostCounter | None = None,
+    *,
+    forests: tuple[Links, Links] | None = None,
 ) -> FactorizedResult:
     """Build a factorized representation of π_free(query) over ``database``.
 
     Requires ``(query, free)`` to be free-connex acyclic; use
     :func:`~repro.relational.router.execute_route` for the router that
-    materializes every other instance flat.
+    materializes every other instance flat. ``forests`` are the
+    :func:`free_connex_forests` of the caller's plan; by default they
+    are derived here.
 
     Raises
     ------
     SchemaError
-        If the query with these free variables is not free-connex.
+        If no ``forests`` are given and the query with these free
+        variables is not free-connex.
 
     Complexity: O(‖D‖ · |A|) construction — one semijoin sweep over the
         extended join tree plus a full reducer and one bucketing pass
@@ -415,16 +416,18 @@ def factorize(
     """
     free_t = _validated_free(query, free)
     query.validate_against(database)
-    if not is_free_connex(query, free_t):
+    if forests is None:
+        forests = free_connex_forests(query, free_t, join_forest(query))
+    if forests is None:
         raise SchemaError(
             "factorize requires a free-connex acyclic query: the hypergraph "
             "extended with the free-variable edge must stay alpha-acyclic"
         )
+    extended, derived = forests
 
     columnar = database.backend == "columnar"
     f_index = len(query.atoms)
-    links = join_tree(extended_hypergraph(query, free_t))
-    children, parent, roots = _rooted_at(f_index + 1, links, f_index)
+    children, __, roots = tree_links(f_index + 1, extended)
     tops = children[f_index]
 
     # Detach the (relation-less) free edge: its depth-1 atoms become
@@ -433,21 +436,19 @@ def factorize(
     # is semijoin absorption: below depth 1 no new free variables
     # appear (running intersection through the F root), so subtrees
     # act purely as filters on their depth-1 ancestor.
-    forest_children = {i: children[i] for i in range(f_index)}
-    forest_roots = [r for r in roots if r != f_index] + list(tops)
     forest = reduced_join_forest(
         query,
         database,
         counter,
-        forest=(forest_children, forest_roots),
+        links=tuple(link for link in extended if link[1] != f_index),
         downward=False,
     )
     relations = forest.relations
     inc("factorized.builds")
 
     # Guard components (no free variables): empty root ⇒ empty answer.
-    for r in forest_roots:
-        if r not in tops and len(relations[r]) == 0:
+    for r in roots:
+        if r != f_index and len(relations[r]) == 0:
             return FactorizedResult(free_t)
 
     # Derived full query over the free variables: one projection per
@@ -464,16 +465,7 @@ def factorize(
         else project(relations[t], interfaces[j], name=f"A{j}")
         for j, t in enumerate(tops)
     ]
-    if not projections:
-        return FactorizedResult(free_t)
-    derived = Hypergraph(vertices=free_t, edges=interfaces)
-    if not is_alpha_acyclic(derived):  # pragma: no cover - by construction
-        raise InvalidInstanceError(
-            "derived free-variable hypergraph unexpectedly cyclic"
-        )
-    g_children, g_parent, g_roots = tree_links(
-        len(projections), join_tree(derived)
-    )
+    g_children, g_parent, g_roots = tree_links(len(projections), derived)
     semijoin_reduce(
         projections, g_children, g_roots, forest.semi, counter, downward=True
     )
@@ -520,11 +512,11 @@ def factorize(
         plans = []
         for j, t in enumerate(tops):
             subtree = [t]
-            stack = list(forest_children[t])
+            stack = list(forest.children[t])
             while stack:
                 d = stack.pop()
                 subtree.append(d)
-                stack.extend(forest_children[d])
+                stack.extend(forest.children[d])
             plans.append(
                 [
                     (

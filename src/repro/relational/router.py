@@ -49,11 +49,11 @@ from collections.abc import Sequence
 
 from ..counting import CostCounter
 from ..errors import InvalidInstanceError
-from ..hypergraph.acyclicity import is_alpha_acyclic
+from ..hypergraph.acyclicity import Links, gyo
 from ..observability.metrics import inc
 from ..observability.tracing import span
 from .database import Database
-from .factorized import _validated_free, factorize, is_free_connex
+from .factorized import _validated_free, factorize, free_connex_forests
 from .query import JoinQuery
 from .relation import Relation
 from .semiring import BOOLEAN, COUNTING, Semiring
@@ -73,11 +73,15 @@ ALIASES = {"count": COUNTING, "boolean": BOOLEAN}
 
 @dataclass(frozen=True)
 class RouteDecision:
-    """Which engine a (query, free, mode) instance is served by, and why."""
+    """Which engine a (query, free, mode) instance is served by, and why,
+    with the join forests it runs on: the query's own for ``yannakakis``,
+    :func:`~repro.relational.factorized.free_connex_forests` for
+    ``factorized`` (engines given none derive their own)."""
 
     route: str
     mode: str
     reason: str
+    forests: tuple[Links, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -104,13 +108,18 @@ def decide_route(
 ) -> RouteDecision:
     """The dichotomy case split, without executing anything.
 
-    Complexity: O(|A| · |V|) — two α-acyclicity (GYO) tests on the
-        query hypergraph and its free-variable extension.
+    Runs one GYO pass (:func:`~repro.hypergraph.acyclicity.gyo`) per
+    hypergraph the route needs and keeps their join forests.
+
+    Complexity: O(r² · d · |A|) — at most three GYO passes, over |A|
+        atoms of arity ≤ r whose attributes lie in ≤ d atoms each.
     """
     if mode not in MODES:
         raise InvalidInstanceError(f"unknown mode {mode!r}; expected one of {MODES}")
     free_t = _validated_free(query, free)
-    acyclic = is_alpha_acyclic(query.hypergraph())
+    shape = gyo(query.hypergraph())
+    acyclic = not shape.residue
+    join = shape.forest() if acyclic else ()
     if mode != "enumerate":
         # Non-emptiness ignores projections; counts and folds do not.
         if mode != "boolean" and free_t != query.attributes:
@@ -118,21 +127,21 @@ def decide_route(
                 f"{mode} mode folds full answers; projections are not supported"
             )
         if acyclic:
-            return RouteDecision(
-                "yannakakis", mode, "alpha-acyclic: sum-product along a join tree"
-            )
+            reason = "alpha-acyclic: sum-product along a join tree"
+            return RouteDecision("yannakakis", mode, reason, (join,))
         return RouteDecision(
             "wcoj", mode, "cyclic: generic join folding semiring values"
         )
-    if acyclic and is_free_connex(query, free_t):
-        return RouteDecision(
-            "factorized", mode, "free-connex acyclic: linear-size d-representation"
-        )
+    forests = free_connex_forests(query, free_t, join) if acyclic else None
+    if forests is not None:
+        reason = "free-connex acyclic: linear-size d-representation"
+        return RouteDecision("factorized", mode, reason, forests)
     if acyclic:
         return RouteDecision(
             "yannakakis",
             mode,
             "alpha-acyclic but not free-connex: full join then project",
+            (join,),
         )
     return RouteDecision("wcoj", mode, "cyclic: AGM-bound materialization")
 
@@ -190,17 +199,18 @@ def run_route(
     if mode == "aggregate":
         inc(f"semiring.{semiring.name}")
     join_tree = decision.route == "yannakakis"
+    links = decision.forests[0] if join_tree and decision.forests else None
     with span("route", counter=counter, route=decision.route, mode=mode):
         relation: Relation | None = None
         value: object | None = None
         if mode == "enumerate":
             if decision.route == "factorized":
                 relation = factorize(
-                    query, database, free=free_t, counter=counter
+                    query, database, free_t, counter, forests=decision.forests
                 ).materialize()
             elif join_tree:
                 relation = yannakakis(
-                    query, database, counter=counter, project_to=free_t
+                    query, database, counter=counter, project_to=free_t, links=links
                 )
             else:
                 answer = generic_join(query, database, counter=counter)
@@ -208,11 +218,15 @@ def run_route(
         elif semiring.annotation_free and semiring.idempotent_add:
             # The Boolean short-circuit: SumProd is `one` exactly when
             # an answer exists, so the route's first witness decides it.
-            first_witness = boolean_yannakakis if join_tree else boolean_generic_join
-            found = first_witness(query, database, counter=counter)
+            if join_tree:
+                found = boolean_yannakakis(query, database, counter, links=links)
+            else:
+                found = boolean_generic_join(query, database, counter=counter)
             value = semiring.one if found else semiring.zero
         elif join_tree:
-            value = semiring_yannakakis(query, database, semiring, counter=counter)
+            value = semiring_yannakakis(
+                query, database, semiring, counter=counter, links=links
+            )
         else:
             value = generic_join_aggregate(query, database, semiring, counter=counter)
     return RoutedAnswer(

@@ -9,8 +9,8 @@ The tree bookkeeping and the reducer sweep are shared with the other
 acyclic evaluators (:mod:`~repro.relational.enumeration`,
 :mod:`~repro.relational.factorized`) via :func:`tree_links`,
 :func:`leaves_first` and :func:`semijoin_reduce`, so every path runs
-the *same* leaves-first-then-root-down pass — historically the full
-and boolean variants each hand-rolled their own copy.
+the *same* leaves-first-then-root-down pass, along the join forest the
+router's plan carries.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from ..counting import CostCounter, charge
 from ..errors import SchemaError
-from ..hypergraph.acyclicity import is_alpha_acyclic, join_tree
+from ..hypergraph.acyclicity import Links, gyo
 from . import kernels
 from .algebra import project, semijoin
 from .database import Database
@@ -30,8 +30,16 @@ from .relation import Relation
 from .semiring import Semiring
 
 
+def join_forest(query: JoinQuery) -> Links:
+    """The join forest of ``query``'s hypergraph (SchemaError if cyclic)."""
+    reduction = gyo(query.hypergraph())
+    if reduction.residue:
+        raise SchemaError("the query is not alpha-acyclic: it has no join forest")
+    return reduction.forest()
+
+
 def tree_links(
-    num_nodes: int, links: list[tuple[int, int]]
+    num_nodes: int, links: Links
 ) -> tuple[dict[int, list[int]], dict[int, int], list[int]]:
     """Children/parent/roots bookkeeping for a join forest.
 
@@ -147,7 +155,7 @@ def reduced_join_forest(
     database: Database,
     counter: CostCounter | None = None,
     *,
-    forest: tuple[dict[int, list[int]], list[int]] | None = None,
+    links: Links | None = None,
     downward: bool = True,
     stop_when_empty: bool = False,
 ) -> ReducedForest:
@@ -156,26 +164,21 @@ def reduced_join_forest(
     The shared front half of every acyclic evaluator — full and
     boolean Yannakakis, the semiring DP, and the factorized build all
     start with exactly this sequence (``backend_relations`` →
-    ``join_tree``/``tree_links`` → :func:`semijoin_reduce`), which
-    each historically hand-rolled. Charges are identical to running
-    the parts by hand: this helper adds no operations of its own (the
-    op-count-parity test pins that).
+    ``tree_links`` → :func:`semijoin_reduce`). Charges are identical
+    to running the parts by hand: this helper adds no operations of
+    its own (the op-count-parity test pins that).
 
     Parameters
     ----------
-    forest:
-        Optional pre-built ``(children, roots)`` orientation over the
-        atom indices — the factorized build passes its re-rooted
-        extended-tree forest; by default a join tree of the query's
-        own hypergraph is built.
+    links:
+        The join forest to sweep along, as the router's plan carries it
+        (:class:`~repro.relational.router.RouteDecision`); the
+        factorized build passes its extended forest without the free
+        edge. By default :func:`join_forest` derives the query's own.
     """
     relations, semi, join = backend_relations(query, database)
-    if forest is None:
-        children, __, roots = tree_links(
-            len(relations), join_tree(query.hypergraph())
-        )
-    else:
-        children, roots = forest
+    links = links if links is not None else join_forest(query)
+    children, __, roots = tree_links(len(relations), links)
     alive = semijoin_reduce(
         relations,
         children,
@@ -193,6 +196,8 @@ def yannakakis(
     database: Database,
     counter: CostCounter | None = None,
     project_to: tuple[str, ...] | None = None,
+    *,
+    links: Links | None = None,
 ) -> Relation:
     """Evaluate an α-acyclic ``query`` with the Yannakakis algorithm.
 
@@ -201,19 +206,21 @@ def yannakakis(
     project_to:
         Optionally project the final answer to these attributes (free
         variables); defaults to all query attributes (full join).
+    links:
+        The query's join forest from the caller's plan
+        (:func:`reduced_join_forest`).
 
     Raises
     ------
     SchemaError
-        If the query hypergraph is not α-acyclic.
+        If no ``links`` are given and the query hypergraph is not
+        α-acyclic.
     """
     query.validate_against(database)
-    hypergraph = query.hypergraph()
-    if not is_alpha_acyclic(hypergraph):
-        raise SchemaError("Yannakakis requires an alpha-acyclic query")
-
     columnar = database.backend == "columnar"
-    forest = reduced_join_forest(query, database, counter, downward=True)
+    forest = reduced_join_forest(
+        query, database, counter, links=links, downward=True
+    )
     relations, children, roots = forest.relations, forest.children, forest.roots
     join = forest.join
 
@@ -242,23 +249,24 @@ def yannakakis(
 
 
 def boolean_yannakakis(
-    query: JoinQuery, database: Database, counter: CostCounter | None = None
+    query: JoinQuery,
+    database: Database,
+    counter: CostCounter | None = None,
+    *,
+    links: Links | None = None,
 ) -> bool:
     """Decide answer non-emptiness for an α-acyclic query.
 
     Only the upward semijoin pass is needed: the answer is nonempty iff
-    every fully-reduced relation is nonempty.
+    every fully-reduced relation is nonempty. ``links`` is the query's
+    join forest from the caller's plan (:func:`reduced_join_forest`).
 
     Complexity: O(‖D‖ · |A|) data complexity — one upward semijoin
     sweep over the join tree, |A| atoms, no materialization.
     """
     query.validate_against(database)
-    hypergraph = query.hypergraph()
-    if not is_alpha_acyclic(hypergraph):
-        raise SchemaError("Yannakakis requires an alpha-acyclic query")
-
     forest = reduced_join_forest(
-        query, database, counter, downward=False, stop_when_empty=True
+        query, database, counter, links=links, downward=False, stop_when_empty=True
     )
     if not forest.alive:
         return False
@@ -271,6 +279,8 @@ def semiring_yannakakis(
     semiring: Semiring,
     counter: CostCounter | None = None,
     annotate=None,
+    *,
+    links: Links | None = None,
 ) -> object:
     """SumProd over an α-acyclic full query by message passing along a
     join tree — the semiring generalization of Yannakakis.
@@ -286,16 +296,17 @@ def semiring_yannakakis(
     Per-group ⊕-folds go through the per-semiring vectorized
     :func:`~repro.relational.kernels.segment_fold` (``np.add.reduceat``
     segment sums for counting, ``np.minimum.reduceat`` for min-plus).
+    ``links`` is the query's join forest from the caller's plan
+    (:func:`reduced_join_forest`).
 
     Complexity: O(‖D‖ · |A|) data complexity — one upward semijoin
     sweep plus one DP pass touching each tuple once per tree edge.
     """
     query.validate_against(database)
-    if not is_alpha_acyclic(query.hypergraph()):
-        raise SchemaError("semiring_yannakakis requires an alpha-acyclic query")
-
     columnar = database.backend == "columnar"
-    forest = reduced_join_forest(query, database, counter, downward=False)
+    forest = reduced_join_forest(
+        query, database, counter, links=links, downward=False
+    )
     if columnar:
         relations = [
             kernels.to_relation(

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import contextlib
 import json
+import signal
 import sys
 import urllib.request
 
@@ -118,9 +120,20 @@ async def _serve(args) -> None:
     )
     if args.preload:
         store.register("demo", demo_relations())
-    host, port = await service.start(args.host, args.port)
-    print(f"repro.service listening on http://{host}:{port}", flush=True)
-    await service.serve_forever()
+    # SIGTERM (kill, Popen.terminate(), systemd, docker stop) takes the
+    # SIGINT path: cancel this task, so the finally below shuts the
+    # shard workers down instead of leaving them orphaned. Windows event
+    # loops have no signal handlers.
+    with contextlib.suppress(NotImplementedError):
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGTERM, asyncio.current_task().cancel
+        )
+    try:
+        host, port = await service.start(args.host, args.port)
+        print(f"repro.service listening on http://{host}:{port}", flush=True)
+        await service.serve_forever()
+    finally:
+        await service.stop()
 
 
 def _dashboard(args) -> None:
@@ -141,7 +154,7 @@ def main(argv=None) -> int:
     if args.command == "serve":
         try:
             asyncio.run(_serve(args))
-        except KeyboardInterrupt:
+        except (KeyboardInterrupt, asyncio.CancelledError):
             pass
         return 0
     _dashboard(args)

@@ -25,10 +25,12 @@ databases and across cores. This module supplies the machinery:
 * **Dispatch** — :meth:`ShardedExecutor.dispatch` runs
   :func:`evaluate_core` in the owning worker via
   ``loop.run_in_executor``, keeping the event loop free to parse and
-  admit other requests while all cores evaluate. Any failure path
-  (stale after retry, broken pool) returns ``None`` and the caller
-  falls back to inline evaluation — ``--workers 0`` never creates a
-  pool at all, preserving the single-process behavior byte for byte.
+  admit other requests while all cores evaluate. A transport failure
+  (stale after retry, broken pool, pickling) returns ``None`` and the
+  caller falls back to inline evaluation; an evaluation error comes
+  back as the worker's result and is re-raised once, as inline
+  evaluation raises it — ``--workers 0`` never creates a pool at all,
+  preserving the single-process behavior byte for byte.
 
 Worker processes use the ``spawn`` start method: forking a process
 that already runs an event loop (and its helper threads) is the
@@ -91,13 +93,20 @@ def evaluate_core(database, spec: dict, track: str) -> dict:
     (query, route, database content): answer fields, op count, and the
     request-scoped metrics/span payloads. Inline evaluation and worker
     dispatch both call this one function, which is what makes
-    ``--workers N`` responses byte-identical to ``--workers 0``.
+    ``--workers N`` responses byte-identical to ``--workers 0``. The
+    spec's ``forests`` are the plan's join forests
+    (:class:`~repro.relational.router.RouteDecision`), so evaluation
+    analyses no query structure; a spec without them has the engines
+    derive their own.
     """
     query = JoinQuery(
         Atom(atom["relation"], tuple(atom["attributes"])) for atom in spec["atoms"]
     )
     decision = RouteDecision(
-        route=spec["route"], mode=spec["mode"], reason=spec["reason"]
+        route=spec["route"],
+        mode=spec["mode"],
+        reason=spec["reason"],
+        forests=spec.get("forests"),
     )
     semiring = (
         get_semiring(spec["semiring"]) if spec.get("semiring") is not None else None
@@ -178,18 +187,23 @@ def _apply_drop(name: str) -> bool:
     return _SHARD.databases.pop(name, None) is not None
 
 
-def _worker_run_query(spec: dict) -> dict:
+def _worker_run_query(spec: dict) -> dict | Exception:
     """Evaluate one spec against this worker's replica.
 
     Returns the evaluation core, or ``{"stale": True}`` when the
     replica is missing or its fingerprint does not match the spec —
     the parent then re-replicates and retries (once) or falls back to
-    inline evaluation.
+    inline evaluation. An exception ``evaluate_core`` raises is
+    returned as the result, for the parent to re-raise: only what the
+    future itself raises is a transport failure.
     """
     entry = _SHARD.databases.get(spec["database"])
     if entry is None or entry[0] != spec["fingerprint"]:
         return {"stale": True}
-    return evaluate_core(entry[1], spec, track=spec["track"])
+    try:
+        return evaluate_core(entry[1], spec, track=spec["track"])
+    except Exception as exc:
+        return exc
 
 
 # ----------------------------------------------------------------------
@@ -283,9 +297,11 @@ class ShardedExecutor:
         The spec's fingerprint decides the shard. A stale replica is
         re-replicated and the dispatch retried once — the one race this
         covers is a re-registration landing between the parent reading
-        the fingerprint and the worker dequeuing the job. Every error
-        path degrades to ``None`` so the caller can evaluate inline;
-        the service never fails a request because a worker did.
+        the fingerprint and the worker dequeuing the job. A transport
+        failure degrades to ``None`` so the caller can evaluate inline;
+        the service never fails a request because a worker did. An
+        evaluation error is re-raised here, once, as inline evaluation
+        would raise it.
         """
         if not self._started:
             return None
@@ -301,21 +317,24 @@ class ShardedExecutor:
             result = await loop.run_in_executor(
                 self._pools[shard], _worker_run_query, worker_spec
             )
-            if result.get("stale"):
+            if isinstance(result, dict) and result.get("stale"):
                 self.registry.counter("executor.stale_retries").inc()
                 await self.replicate(name)
                 result = await loop.run_in_executor(
                     self._pools[shard], _worker_run_query, worker_spec
                 )
-            if result.get("stale"):
+            if isinstance(result, dict) and result.get("stale"):
                 self.registry.counter("executor.inline_fallbacks").inc()
                 return None
-        except (ReproError, RuntimeError, OSError, EOFError, pickle.PickleError):
+        except (RuntimeError, OSError, EOFError, pickle.PickleError):
             # Worker crash (BrokenProcessPool is a RuntimeError), pool
             # shut down mid-dispatch, transport/pickling failure:
             # degrade to inline evaluation rather than fail the request.
+            # Evaluation errors never land here: the worker returns them.
             self.registry.counter("executor.errors").inc()
             return None
+        if isinstance(result, Exception):
+            raise result
         self.registry.counter("executor.dispatched").inc()
         self._dispatched[shard] += 1
         result["shard"] = shard

@@ -1,10 +1,14 @@
 """The prepared-plan cache: route decisions keyed by content.
 
-Deciding a route runs two GYO eliminations (cheap, but pure overhead
-on a hot query), and more importantly a *cold* evaluation rebuilds
-per-database index structures. The service therefore caches the
-:class:`~repro.relational.router.RouteDecision` — together with the
-validated free tuple — under a content-addressed key, the same
+Deciding a route runs one GYO structure pass per hypergraph the route
+needs (:func:`~repro.relational.router.decide_route`), and the
+resulting :class:`~repro.relational.router.RouteDecision` carries the
+join forests its engine runs on, so a query served from a cached plan
+analyses no structure at all — on the parent or in a shard worker,
+which receives the forests in its spec. A *cold* evaluation also
+rebuilds per-database index structures. The service therefore caches
+the decision — together with the validated free tuple — in a
+:class:`PreparedPlan` under a content-addressed key, the same
 discipline as the experiment result cache
 (:mod:`repro.observability.cache`): the key is a SHA-256 over the
 canonical JSON of everything the decision depends on, including the
@@ -67,7 +71,8 @@ def plan_key(
 
 @dataclass(frozen=True)
 class PreparedPlan:
-    """A cached routing decision, ready to hand to ``run_route``."""
+    """A cached routing decision and its join forests, ready to hand to
+    ``run_route``."""
 
     key: str
     decision: RouteDecision

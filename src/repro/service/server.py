@@ -40,6 +40,7 @@ from __future__ import annotations
 import asyncio
 import json
 import time
+import traceback
 
 from ..counting import CostCounter
 from ..csp.instance import Constraint, CSPInstance
@@ -78,6 +79,11 @@ TRACE_SCHEMA = "repro-service-trace/v1"
 #: The telemetry label of every request no endpoint serves, so unknown
 #: paths cannot grow the service's counters and histograms.
 UNKNOWN_ENDPOINT = "unknown"
+
+#: Innermost frames of an unexpected exception's traceback kept in its
+#: telemetry record: a RecursionError's full traceback runs to
+#: thousands of lines, and the record ring holds ``window`` of them.
+TRACEBACK_FRAMES = 30
 
 
 def query_from_payload(payload: dict) -> JoinQuery:
@@ -344,6 +350,20 @@ class QueryService:
             body = json_response_bytes(
                 400, {"error": detail, "request_id": request_id}
             )
+        except Exception as exc:
+            # The boundary every request passes: a fault in an engine
+            # still gets a response and a telemetry record, and the
+            # connection stays open for the next request.
+            status = 500
+            detail = traceback.format_exc(limit=-TRACEBACK_FRAMES)
+            body = json_response_bytes(
+                500,
+                {
+                    "error": str(exc),
+                    "exception": type(exc).__name__,
+                    "request_id": request_id,
+                },
+            )
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         self.telemetry.observe_request(
             RequestRecord(
@@ -452,6 +472,7 @@ class QueryService:
             "semiring": semiring_name,
             "route": plan.decision.route,
             "reason": plan.decision.reason,
+            "forests": plan.decision.forests,
             "database": database_name,
             "fingerprint": fingerprint,
         }

@@ -1,9 +1,21 @@
-"""Plan-cache keying: hits on repeats, invalidation on content change."""
+"""Plan-cache keying: hits on repeats, invalidation on content change;
+structure is derived once per miss and never on a hit."""
+
+import asyncio
+import json
+import sys
 
 import pytest
 
 from repro.errors import InvalidInstanceError
+from repro.generators.agm import uniform_random_database
+from repro.hypergraph import acyclicity
 from repro.relational.query import JoinQuery
+from repro.relational.router import run_route
+from repro.relational.semiring import get_semiring
+from repro.service import QueryService
+from repro.service.executor import evaluate_core
+from repro.service.http import HttpRequest
 from repro.service.plan_cache import PlanCache, plan_key
 
 
@@ -103,3 +115,123 @@ class TestPlanCache:
         assert key_a == key_b
         assert key_a != key_c
         assert len(key_a) == 64
+
+
+def count_passes(fn, *args, **kwargs):
+    """``(GYO passes run, result)`` of one call: every call of
+    :func:`repro.hypergraph.acyclicity.gyo`, however its caller imported it."""
+    code = acyclicity.gyo.__code__
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is code:
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = fn(*args, **kwargs)
+    finally:
+        sys.setprofile(previous)
+    return calls, result
+
+
+class TestStructurePasses:
+    """One GYO pass per hypergraph a route needs on a miss; none after."""
+
+    @pytest.mark.parametrize(
+        "query, free, mode, route, passes",
+        [
+            (PATH, None, "enumerate", "factorized", 1),
+            (PATH, ("a0", "a1"), "enumerate", "factorized", 3),
+            (PATH, ("a0", "a3"), "enumerate", "yannakakis", 2),
+            (PATH, None, "count", "yannakakis", 1),
+            (PATH, ("a1",), "boolean", "yannakakis", 1),
+            (TRIANGLE, None, "enumerate", "wcoj", 1),
+            (TRIANGLE, ("a1",), "enumerate", "wcoj", 1),
+            (TRIANGLE, None, "aggregate", "wcoj", 1),
+        ],
+    )
+    def test_miss_runs_one_pass_per_hypergraph_and_hits_run_none(
+        self, query, free, mode, route, passes
+    ):
+        cache = PlanCache(capacity=8)
+        semiring = "counting" if mode == "aggregate" else None
+        key = (query, free, mode, "demo", "f1", "columnar", semiring)
+        calls, (plan, hit) = count_passes(cache.get_or_build, *key)
+        assert (plan.decision.route, hit, calls) == (route, False, passes)
+        calls, (again, hit) = count_passes(cache.get_or_build, *key)
+        assert (again is plan, hit, calls) == (True, True, 0)
+
+        database = uniform_random_database(query, 12, 4, seed=3)
+        calls, __ = count_passes(
+            run_route,
+            query,
+            database,
+            plan.decision,
+            free=plan.free,
+            semiring=get_semiring(semiring) if semiring else None,
+        )
+        assert calls == 0
+
+    @pytest.mark.parametrize("free", [None, ("a0", "a1"), ("a0", "a3")])
+    def test_worker_spec_evaluates_without_a_pass(self, free):
+        atoms = [
+            {"relation": atom.relation_name, "attributes": list(atom.attributes)}
+            for atom in PATH.atoms
+        ]
+        plan, __ = PlanCache().get_or_build(
+            PATH, free, "enumerate", "demo", "f1", "columnar"
+        )
+        spec = {
+            "atoms": atoms,
+            "free": list(plan.free),
+            "mode": "enumerate",
+            "route": plan.decision.route,
+            "reason": plan.decision.reason,
+            "forests": plan.decision.forests,
+        }
+        database = uniform_random_database(PATH, 12, 4, seed=5)
+        calls, core = count_passes(evaluate_core, database, spec, "t")
+        assert calls == 0
+        # Without the plan's forests the engines derive the same ones.
+        bare = {k: v for k, v in spec.items() if k != "forests"}
+        calls, derived = count_passes(evaluate_core, database, bare, "t")
+        assert calls > 0
+        assert (derived["answers"], derived["ops"]) == (core["answers"], core["ops"])
+
+    @pytest.mark.parametrize(
+        "free, mode, passes", [(None, "count", 1), (("a0", "a1"), "enumerate", 3)]
+    )
+    def test_service_runs_passes_only_on_a_miss(self, free, mode, passes):
+        """Through the server: the spec carries the plan's forests, so a
+        miss runs only decide_route's passes and a hit runs none."""
+        edges = [[1, 2], [2, 3], [3, 1], [2, 4]]
+        service = QueryService()
+        service.store.register(
+            "demo",
+            [
+                {"name": atom.relation_name, "attributes": ["x", "y"], "tuples": edges}
+                for atom in PATH.atoms
+            ],
+        )
+        payload = {
+            "database": "demo",
+            "mode": mode,
+            "atoms": [
+                {"relation": atom.relation_name, "attributes": list(atom.attributes)}
+                for atom in PATH.atoms
+            ],
+        }
+        if free is not None:
+            payload["free"] = list(free)
+        request = HttpRequest("POST", "/query", body=json.dumps(payload).encode())
+
+        def query():
+            return asyncio.run(service.dispatch(request))
+
+        for expected in (passes, 0):
+            calls, data = count_passes(query)
+            assert data.startswith(b"HTTP/1.1 200")
+            assert calls == expected

@@ -7,6 +7,7 @@ from repro.counting import CostCounter
 from repro.relational.query import Atom, JoinQuery
 from repro.relational.router import execute_route
 from repro.service import QueryService
+from repro.service import server as server_module
 from repro.service.client import ServiceClient
 from repro.service.http import HttpRequest
 from repro.service.server import canonical_answers, strip_volatile
@@ -138,6 +139,87 @@ class TestQueryEndpoint:
             return None
 
         run_service(body)
+
+
+#: A 600-atom cycle drives the columnar Generic Join recursion past the
+#: interpreter's limit: a RecursionError, not a ReproError.
+DEEP_CYCLE = [
+    {"relation": "R1", "attributes": [f"v{i}", f"v{(i + 1) % 600}"]}
+    for i in range(600)
+]
+
+
+class TestUnexpectedExceptions:
+    def test_engine_fault_is_500_with_a_record_and_the_connection_lives(self):
+        async def body(service, host, port, client):
+            before = service.telemetry.registry.counter_value("requests.total")
+            status, payload = await client.query("demo", DEEP_CYCLE, mode="boolean")
+            assert status == 500
+            assert payload["exception"] == "RecursionError"
+            assert "recursion" in payload["error"]
+            records = [
+                r for r in service.telemetry.recent_requests() if r.status == 500
+            ]
+            assert [r.request_id for r in records] == [payload["request_id"]]
+            assert "RecursionError" in records[0].detail
+            assert "Traceback" in records[0].detail
+            after = service.telemetry.registry.counter_value("requests.total")
+            assert after == before + 1
+            # The same keep-alive connection serves the next request.
+            status, payload = await client.query("demo", PATH_ATOMS, mode="count")
+            assert status == 200 and payload["count"] > 0
+            return None
+
+        run_service(body)
+
+
+class TestWorkerEvaluationErrors:
+    def test_worker_error_is_answered_once_as_inline(self, monkeypatch):
+        """A query naming a relation the database lacks raises
+        SchemaError inside the worker: the parent re-raises it, books no
+        transport error and never evaluates the spec again inline."""
+        atoms = [{"relation": "R9", "attributes": ["a1", "a2"]}]
+        real = server_module.evaluate_core
+        inline: list = []
+
+        def spy(*args, **kwargs):
+            inline.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(server_module, "evaluate_core", spy)
+
+        async def body(service, host, port, client):
+            status, payload = await client.query("demo", atoms)
+            errors = service.telemetry.registry.counter_value("executor.errors")
+            return status, payload, errors
+
+        responses = {}
+        for workers in (0, 2):
+            inline.clear()
+            status, payload, errors = run_service(body, workers=workers)
+            responses[workers] = (status, payload)
+            assert status == 400 and "R9" in payload["error"]
+            assert errors == 0
+            assert len(inline) == (0 if workers else 1)
+        assert responses[2] == responses[0]
+
+    def test_worker_runtime_error_is_not_a_transport_failure(self, monkeypatch):
+        """RecursionError is a RuntimeError, as BrokenProcessPool is: it
+        comes back as the worker's result and is answered once, with a 500."""
+        inline: list = []
+        monkeypatch.setattr(
+            server_module, "evaluate_core", lambda *args: inline.append(args)
+        )
+
+        async def body(service, host, port, client):
+            status, payload = await client.query("demo", DEEP_CYCLE, mode="boolean")
+            errors = service.telemetry.registry.counter_value("executor.errors")
+            return status, payload, errors
+
+        status, payload, errors = run_service(body, workers=2)
+        assert (status, payload["exception"], errors, inline) == (
+            500, "RecursionError", 0, []
+        )
 
 
 class TestStringShapedLists:
