@@ -18,28 +18,26 @@ a slow-query log, all rendered live by the ``/dashboard`` endpoint.
 For multi-core serving, ``--workers N`` shards the store across warm
 worker processes (:class:`~repro.service.executor.ShardedExecutor`)
 and dispatches evaluation to the owning shard; single-flight
-coalescing and an optional query result cache
-(:mod:`repro.service.coalesce`) dedupe identical work in front of
-admission. All execution paths produce byte-identical responses.
+coalescing (:mod:`repro.service.coalesce`) dedupes identical
+in-flight work in front of admission. Both execution paths produce
+byte-identical responses.
 """
 
 from .admission import AdmissionController, RequestShedError
-from .coalesce import ResultCache, SingleFlight
+from .coalesce import SingleFlight
 from .executor import ShardedExecutor
-from .plan_cache import BoundedLruCache, PlanCache, PreparedPlan
+from .plan_cache import PlanCache, PreparedPlan
 from .server import QueryService
 from .store import DatabaseStore
 from .telemetry import ServiceTelemetry, WindowedHistogram
 
 __all__ = [
     "AdmissionController",
-    "BoundedLruCache",
     "DatabaseStore",
     "PlanCache",
     "PreparedPlan",
     "QueryService",
     "RequestShedError",
-    "ResultCache",
     "ServiceTelemetry",
     "ShardedExecutor",
     "SingleFlight",

@@ -67,17 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="shard worker processes; 0 evaluates inline on the event loop",
     )
-    serve.add_argument(
-        "--result-cache",
-        type=int,
-        default=0,
-        help="query result cache capacity; 0 disables it",
-    )
-    serve.add_argument(
-        "--no-coalesce",
-        action="store_true",
-        help="disable single-flight coalescing of identical in-flight queries",
-    )
     serve.add_argument("--slow-ms", type=float, default=50.0)
     serve.add_argument("--window", type=int, default=1024)
     serve.add_argument(
@@ -115,8 +104,6 @@ async def _serve(args) -> None:
         slow_ms=args.slow_ms,
         window=args.window,
         workers=args.workers,
-        coalesce=not args.no_coalesce,
-        result_cache_capacity=args.result_cache,
     )
     if args.preload:
         store.register("demo", demo_relations())

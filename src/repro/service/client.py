@@ -1,33 +1,18 @@
-"""An asyncio client for the query service, plus the load generator.
+"""An asyncio client for the query service.
 
 The client speaks the same minimal HTTP/1.1 subset the server does,
-over one keep-alive connection per instance. The load generator fans
-out ``concurrency`` clients, drives a repeated-query workload through
-them, and reports *client-side* latency percentiles (exact, from the
-raw sorted sample — the service-side histograms are bucketed) together
-with throughput, so ``benchmarks/bench_service.py`` can sweep
-concurrency levels and the CI smoke job can assert on the result.
+over one keep-alive connection per instance. Load generation lives in
+``perfbench/``, which drives the service from its own closed-loop
+client.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import time
 
 from ..errors import ReproError
 from .http import HttpProtocolError
-
-
-def exact_percentile(values, q: float) -> float:
-    """The ``q``-quantile of a raw sample (nearest-rank), 0.0 if empty."""
-    if not values:
-        return 0.0
-    if not 0.0 < q <= 1.0:
-        raise ReproError(f"quantile must be in (0, 1], got {q}")
-    ordered = sorted(values)
-    index = min(len(ordered) - 1, max(0, round(q * len(ordered)) - 1))
-    return float(ordered[index])
 
 
 class ServiceClient:
@@ -145,55 +130,3 @@ class ServiceClient:
         if status != 200:
             raise ReproError(f"GET {path} failed ({status}): {payload}")
         return payload
-
-
-async def run_load(
-    host: str,
-    port: int,
-    workload: list[dict],
-    concurrency: int,
-    requests_per_worker: int,
-) -> dict:
-    """Drive the workload through ``concurrency`` keep-alive clients.
-
-    ``workload`` entries are query payloads (``database``, ``atoms``,
-    optional ``free``/``mode``); each worker walks them round-robin,
-    offset by its worker index so concurrent workers hit different
-    shapes at the same instant. Returns client-side latency stats,
-    throughput, and the per-entry responses of worker 0 (for the
-    byte-identity check against direct evaluation).
-    """
-    latencies_ms: list[float] = []
-    statuses: dict[int, int] = {}
-    sample_responses: list[dict] = []
-
-    async def worker(index: int) -> None:
-        async with ServiceClient(host, port) as client:
-            for step in range(requests_per_worker):
-                entry = workload[(index + step) % len(workload)]
-                begun = time.perf_counter()
-                status, payload = await client.request("POST", "/query", entry)
-                latencies_ms.append((time.perf_counter() - begun) * 1000.0)
-                statuses[status] = statuses.get(status, 0) + 1
-                if index == 0 and step < len(workload):
-                    sample_responses.append({"request": entry, "response": payload})
-
-    wall_start = time.perf_counter()
-    await asyncio.gather(*(worker(i) for i in range(concurrency)))
-    wall_s = time.perf_counter() - wall_start
-    total = len(latencies_ms)
-    return {
-        "concurrency": concurrency,
-        "requests": total,
-        "statuses": {str(k): v for k, v in sorted(statuses.items())},
-        "wall_s": wall_s,
-        "throughput_rps": (total / wall_s) if wall_s > 0 else 0.0,
-        "latency_ms": {
-            "mean": (sum(latencies_ms) / total) if total else 0.0,
-            "p50": exact_percentile(latencies_ms, 0.50),
-            "p95": exact_percentile(latencies_ms, 0.95),
-            "p99": exact_percentile(latencies_ms, 0.99),
-            "max": max(latencies_ms) if latencies_ms else 0.0,
-        },
-        "sample_responses": sample_responses,
-    }

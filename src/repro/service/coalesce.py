@@ -1,29 +1,20 @@
-"""Single-flight request coalescing and the query result cache.
+"""Single-flight request coalescing.
 
-Two demand-side optimizations that pair with the sharded executor's
-supply-side parallelism — both keyed on the content-addressed plan key
+The demand-side optimization that pairs with the sharded executor's
+supply-side parallelism. When N identical requests are in flight at
+once, the first (the *leader*) evaluates; the other N−1 (*followers*)
+await the leader's future and share its result. Under a hot-spot
+workload this turns a thundering herd into one evaluation, and because
+followers never enter admission, the admission slots they would have
+occupied stay available for distinct queries.
+
+Flights are keyed on the content-addressed plan key
 (:func:`~repro.service.plan_cache.plan_key`), which already folds in
-the query shape, mode, free tuple, backend, and database fingerprint,
-so *same key* provably means *same answer*:
-
-* **Single-flight** (:class:`SingleFlight`) — when N identical
-  requests are in flight at once, the first (the *leader*) evaluates;
-  the other N−1 (*followers*) await the leader's future and share its
-  result. Under a hot-spot workload this turns a thundering herd into
-  one evaluation, and because followers never enter admission, the
-  admission slots they would have occupied stay available for
-  distinct queries.
-* **Result cache** (:class:`ResultCache`) — a bounded LRU from plan
-  key to the finished *evaluation core*, serving repeats of a query
-  without any evaluation at all. Consistency is inherited from the
-  key: the store re-fingerprints on mutation and re-registration, so
-  a changed database yields a new key and the stale entry simply
-  stops matching (eventually evicted by LRU); re-registration also
-  drops entries eagerly, mirroring the plan cache.
-
-Coalescing shares *results*, not response envelopes: each follower
-still gets its own request id and a ``coalesced: true`` marker, and
-the shared core is copied before per-request fields are added.
+the query shape, mode, free tuple, backend, semiring and database
+fingerprint, so *same key* provably means *same answer*. Coalescing
+shares *results*, not response envelopes: each follower still gets its
+own request id and a ``coalesced: true`` marker, and the shared core
+is copied before per-request fields are added.
 """
 
 from __future__ import annotations
@@ -31,7 +22,6 @@ from __future__ import annotations
 import asyncio
 
 from ..observability.metrics import MetricsRegistry
-from .plan_cache import BoundedLruCache
 
 
 class SingleFlight:
@@ -76,23 +66,3 @@ class SingleFlight:
             "leaders": self.registry.counter_value("coalesce.leaders"),
             "followers": self.registry.counter_value("coalesce.followers"),
         }
-
-
-class ResultCache(BoundedLruCache):
-    """Bounded LRU from plan key to a finished evaluation core.
-
-    Entries store ``(database_name, core)``; the name exists only so
-    re-registration can evict eagerly — consistency never depends on
-    it, because the key embeds the content fingerprint.
-    """
-
-    def get(self, key: str) -> dict | None:
-        entry = self.lookup(key)
-        return entry[1] if entry is not None else None
-
-    def put(self, key: str, database_name: str, core: dict) -> None:
-        self.insert(key, (database_name, core))
-
-    def invalidate_database(self, database_name: str) -> int:
-        """Eagerly drop every result evaluated against ``database_name``."""
-        return self.drop_where(lambda __, entry: entry[0] == database_name)

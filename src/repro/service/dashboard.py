@@ -43,7 +43,6 @@ def render_dashboard_text_from_payload(payload: dict) -> str:
     service = payload.get("service", {})
     coalesce = payload.get("coalesce", {})
     executor = payload.get("executor")
-    result_cache = payload.get("result_cache")
     lines = [
         "== repro query service ==",
         (
@@ -75,19 +74,9 @@ def render_dashboard_text_from_payload(payload: dict) -> str:
             f"{coalesce.get('inflight', 0)} in flight"
         ),
     ]
-    if result_cache is not None:
-        lines.append(
-            f"result cache: {result_cache.get('size', 0)}/"
-            f"{result_cache.get('capacity', 0)} entries, "
-            f"hits {result_cache.get('hits', 0)}, "
-            f"misses {result_cache.get('misses', 0)}, "
-            f"evictions {result_cache.get('evictions', 0)}, "
-            f"hit ratio {result_cache.get('hit_ratio', 0.0):.2f}"
-        )
     if executor is not None:
         lines.append(
-            f"executor: {executor.get('workers', 0)} workers "
-            f"({executor.get('start_method', '?')}), "
+            f"executor: {executor.get('workers', 0)} workers, "
             f"started {executor.get('started', False)}"
         )
         for shard, view in sorted(executor.get("shards", {}).items()):
@@ -203,28 +192,11 @@ def render_dashboard_html_from_payload(payload: dict) -> str:
             coalesce.get("inflight", 0),
         )
     )
-    result_cache = payload.get("result_cache")
-    if result_cache is not None:
-        body.append("<h2>Result cache</h2>")
-        body.append(
-            "<table><thead><tr><th>size</th><th>capacity</th><th>hits</th>"
-            "<th>misses</th><th>evictions</th><th>hit ratio</th></tr></thead>"
-            "<tbody><tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td>"
-            "<td>{}</td><td>{:.2f}</td></tr></tbody></table>".format(
-                result_cache.get("size", 0),
-                result_cache.get("capacity", 0),
-                result_cache.get("hits", 0),
-                result_cache.get("misses", 0),
-                result_cache.get("evictions", 0),
-                result_cache.get("hit_ratio", 0.0),
-            )
-        )
     executor = payload.get("executor")
     if executor is not None:
         body.append(
-            "<h2>Sharded executor ({} workers, {})</h2>".format(
-                executor.get("workers", 0),
-                _html.escape(str(executor.get("start_method", "?"))),
+            "<h2>Sharded executor ({} workers)</h2>".format(
+                executor.get("workers", 0)
             )
         )
         shard_rows = "".join(

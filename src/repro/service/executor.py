@@ -1,11 +1,11 @@
 """Multi-core sharded execution: warm worker processes per store shard.
 
-The PR 8 service evaluates every query inline on the asyncio event
-loop — correct, but flat under load: one GIL-bound process caps
-throughput at a single core no matter the concurrency level
-(``BENCH_service.json``, pre-scaling). Evaluation is a pure function
-of (query shape, route, database content), so it parallelizes across
-databases and across cores. This module supplies the machinery:
+With ``--workers 0`` the service evaluates every query inline on the
+asyncio event loop — correct, but one GIL-bound process caps
+throughput at a single core no matter the concurrency level.
+Evaluation is a pure function of (query shape, route, database
+content), so it parallelizes across databases and across cores. This
+module supplies the machinery:
 
 * **Sharding** — :class:`ShardedExecutor` partitions
   :class:`~repro.service.store.DatabaseStore` entries across ``N``
@@ -51,6 +51,7 @@ from __future__ import annotations
 import asyncio
 import multiprocessing
 import pickle
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 
 from ..counting import CostCounter
@@ -65,6 +66,31 @@ from .store import DatabaseStore, database_from_payload
 #: Hex digits of the fingerprint used for shard placement. 16 digits
 #: (64 bits) is plenty of spread and avoids arbitrary-precision cost.
 _SHARD_DIGITS = 16
+
+#: Innermost frames of an evaluation fault's traceback kept in its
+#: telemetry record: a RecursionError's full traceback runs to
+#: thousands of lines, and the record ring holds ``window`` of them.
+TRACEBACK_FRAMES = 30
+
+
+def fault_traceback(exc: BaseException) -> str:
+    """The innermost :data:`TRACEBACK_FRAMES` frames of ``exc``'s
+    traceback, as formatted where it was raised.
+
+    A fault evaluated in a worker reaches the parent by pickle, which
+    drops ``__traceback__``; :func:`_worker_run_query` therefore formats
+    the frames in the worker and they travel on the exception as
+    ``worker_traceback``. An attribute, not ``add_note``, which needs
+    Python 3.11.
+    """
+    shipped = getattr(exc, "worker_traceback", None)
+    if shipped is not None:
+        return shipped
+    return "".join(
+        traceback.format_exception(
+            type(exc), exc, exc.__traceback__, limit=-TRACEBACK_FRAMES
+        )
+    )
 
 
 def shard_for_fingerprint(fingerprint: str, workers: int) -> int:
@@ -81,8 +107,8 @@ def shard_for_fingerprint(fingerprint: str, workers: int) -> int:
 
 def canonical_answers(tuples) -> list[list]:
     """Answer tuples in the canonical wire order (sorted by ``repr``,
-    mixed-type safe) — the order the byte-identity acceptance check and
-    the load generator both use."""
+    mixed-type safe) — the order every byte-identity check and
+    perfbench's reference answers use."""
     return [list(t) for t in sorted(tuples, key=repr)]
 
 
@@ -183,7 +209,7 @@ def _apply_register(name: str, payload: list[dict], fingerprint: str, backend: s
 
 
 def _apply_drop(name: str) -> bool:
-    """Drop a replica (the database moved shards or was forgotten)."""
+    """Drop a replica (the database moved shards)."""
     return _SHARD.databases.pop(name, None) is not None
 
 
@@ -194,7 +220,8 @@ def _worker_run_query(spec: dict) -> dict | Exception:
     replica is missing or its fingerprint does not match the spec —
     the parent then re-replicates and retries (once) or falls back to
     inline evaluation. An exception ``evaluate_core`` raises is
-    returned as the result, for the parent to re-raise: only what the
+    returned as the result, carrying its formatted frames
+    (:func:`fault_traceback`), for the parent to re-raise: only what the
     future itself raises is a transport failure.
     """
     entry = _SHARD.databases.get(spec["database"])
@@ -203,6 +230,7 @@ def _worker_run_query(spec: dict) -> dict | Exception:
     try:
         return evaluate_core(entry[1], spec, track=spec["track"])
     except Exception as exc:
+        exc.worker_traceback = fault_traceback(exc)
         return exc
 
 
@@ -217,13 +245,11 @@ class ShardedExecutor:
         store: DatabaseStore,
         workers: int,
         registry: MetricsRegistry | None = None,
-        start_method: str = "spawn",
     ) -> None:
         if workers < 1:
             raise ReproError(f"workers must be positive, got {workers}")
         self.store = store
         self.workers = workers
-        self.start_method = start_method
         self.registry = registry if registry is not None else MetricsRegistry()
         self._pools: list[ProcessPoolExecutor] = []
         self._assignments: dict[str, tuple[str, int]] = {}
@@ -245,7 +271,7 @@ class ShardedExecutor:
         """
         if self._started:
             return
-        context = multiprocessing.get_context(self.start_method)
+        context = multiprocessing.get_context("spawn")
         self._pools = [
             ProcessPoolExecutor(max_workers=1, mp_context=context)
             for _ in range(self.workers)
@@ -283,13 +309,6 @@ class ShardedExecutor:
         self._assignments[name] = (fingerprint, shard)
         self.registry.counter("executor.replications").inc()
         return shard
-
-    async def forget(self, name: str) -> None:
-        """Drop a database's replica (store-side removal)."""
-        assigned = self._assignments.pop(name, None)
-        if assigned is not None:
-            loop = asyncio.get_running_loop()
-            await loop.run_in_executor(self._pools[assigned[1]], _apply_drop, name)
 
     async def dispatch(self, spec: dict, request_id: str) -> dict | None:
         """Run one evaluation in the owning worker; ``None`` = fall back.
@@ -352,7 +371,6 @@ class ShardedExecutor:
         return {
             "workers": self.workers,
             "started": self._started,
-            "start_method": self.start_method,
             "shards": {
                 str(shard): {
                     "databases": sorted(

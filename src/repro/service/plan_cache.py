@@ -14,12 +14,8 @@ discipline as the experiment result cache
 canonical JSON of everything the decision depends on, including the
 database *fingerprint*, so re-registering a database with different
 content invalidates every plan prepared against the old content.
-
-Both service caches — this one and the query result cache
-(:class:`~repro.service.coalesce.ResultCache`) — are bounded LRUs
-keyed by the same content-addressed plan key, so they share one
-mechanism: :class:`BoundedLruCache`. Hits, misses, and evictions are
-counted so the dashboard can show hit ratios side by side.
+Hits, misses and evictions are counted on the service registry, which
+``/metrics`` and the dashboard read.
 """
 
 from __future__ import annotations
@@ -30,6 +26,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from ..errors import InvalidInstanceError
+from ..observability.metrics import MetricsRegistry
 from ..relational.factorized import _validated_free
 from ..relational.query import JoinQuery
 from ..relational.router import RouteDecision, decide_route
@@ -50,8 +47,8 @@ def plan_key(
     key also identifies an *evaluation*: same key ⇒ same query shape,
     route inputs, database content — and, for aggregate mode, the
     semiring (a counting result must never serve a min-cost repeat) ⇒
-    same answers. Single-flight coalescing and the result cache both
-    key on it for exactly that reason.
+    same answers. Single-flight coalescing keys on it for exactly that
+    reason.
     """
     material = {
         "atoms": [
@@ -81,78 +78,29 @@ class PreparedPlan:
     fingerprint: str
 
 
-class BoundedLruCache:
-    """A bounded LRU with hit/miss/eviction accounting.
+class PlanCache:
+    """Bounded LRU of :class:`PreparedPlan`, keyed by :func:`plan_key`.
 
-    The shared substrate of the plan cache and the query result cache:
-    string keys (content-addressed SHA-256 digests), move-to-end on
-    hit, FIFO eviction of the least-recently-used entry past capacity.
-    Values are never ``None`` — lookups use ``None`` as the miss
-    sentinel.
+    Move-to-end on hit, eviction of the least-recently-used plan past
+    capacity. Hits, misses and evictions are counted once, on
+    ``registry`` — the service-lifetime one, as for admission,
+    coalescing and the executor — and :meth:`to_payload` reads them
+    back from there.
     """
 
-    def __init__(self, capacity: int = 256) -> None:
+    def __init__(
+        self, capacity: int = 256, registry: MetricsRegistry | None = None
+    ) -> None:
         if capacity < 1:
             raise InvalidInstanceError(
-                f"{type(self).__name__} capacity must be positive, got {capacity}"
+                f"PlanCache capacity must be positive, got {capacity}"
             )
         self.capacity = capacity
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._entries: OrderedDict[str, object] = OrderedDict()
+        self.registry = registry if registry is not None else MetricsRegistry()
+        self._plans: OrderedDict[str, PreparedPlan] = OrderedDict()
 
     def __len__(self) -> int:
-        return len(self._entries)
-
-    def lookup(self, key: str):
-        """The cached value (refreshing recency) or ``None`` on miss."""
-        value = self._entries.get(key)
-        if value is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        self._entries.move_to_end(key)
-        return value
-
-    def insert(self, key: str, value) -> None:
-        if value is None:
-            raise InvalidInstanceError(
-                f"{type(self).__name__}: None is the miss sentinel, not a value"
-            )
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-
-    def drop_where(self, predicate) -> int:
-        """Evict every entry whose ``(key, value)`` satisfies ``predicate``."""
-        stale = [
-            key for key, value in self._entries.items() if predicate(key, value)
-        ]
-        for key in stale:
-            del self._entries[key]
-        return len(stale)
-
-    def hit_ratio(self) -> float:
-        """Hits over lookups since boot (0.0 before the first lookup)."""
-        lookups = self.hits + self.misses
-        return (self.hits / lookups) if lookups else 0.0
-
-    def to_payload(self) -> dict:
-        return {
-            "capacity": self.capacity,
-            "size": len(self._entries),
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_ratio": self.hit_ratio(),
-        }
-
-
-class PlanCache(BoundedLruCache):
-    """Bounded LRU of :class:`PreparedPlan` with hit/miss/eviction counts."""
+        return len(self._plans)
 
     def get_or_build(
         self,
@@ -174,9 +122,12 @@ class PlanCache(BoundedLruCache):
         key = plan_key(
             query, free_t, mode, database_name, fingerprint, backend, semiring
         )
-        plan = self.lookup(key)
+        plan = self._plans.get(key)
         if plan is not None:
+            self.registry.counter("plan_cache.hits").inc()
+            self._plans.move_to_end(key)
             return plan, True
+        self.registry.counter("plan_cache.misses").inc()
         decision = decide_route(query, free=free_t, mode=mode)
         plan = PreparedPlan(
             key=key,
@@ -185,7 +136,10 @@ class PlanCache(BoundedLruCache):
             database_name=database_name,
             fingerprint=fingerprint,
         )
-        self.insert(key, plan)
+        self._plans[key] = plan
+        if len(self._plans) > self.capacity:
+            self._plans.popitem(last=False)
+            self.registry.counter("plan_cache.evictions").inc()
         return plan, False
 
     def invalidate_database(self, database_name: str) -> int:
@@ -194,6 +148,26 @@ class PlanCache(BoundedLruCache):
         Fingerprint keying already makes stale plans unreachable; this
         additionally frees their slots eagerly on re-registration.
         """
-        return self.drop_where(
-            lambda __, plan: plan.database_name == database_name
-        )
+        stale = [
+            key
+            for key, plan in self._plans.items()
+            if plan.database_name == database_name
+        ]
+        for key in stale:
+            del self._plans[key]
+        return len(stale)
+
+    def to_payload(self) -> dict:
+        """The ``/metrics`` view; ``hit_ratio`` is hits over lookups
+        since boot (0.0 before the first lookup)."""
+        hits = self.registry.counter_value("plan_cache.hits")
+        misses = self.registry.counter_value("plan_cache.misses")
+        lookups = hits + misses
+        return {
+            "capacity": self.capacity,
+            "size": len(self._plans),
+            "hits": hits,
+            "misses": misses,
+            "evictions": self.registry.counter_value("plan_cache.evictions"),
+            "hit_ratio": (hits / lookups) if lookups else 0.0,
+        }

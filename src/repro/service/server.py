@@ -25,14 +25,13 @@ at await points (admission, socket I/O), not mid-join. With
 dispatches it to the database's owning worker process instead, so the
 loop stays free and evaluation uses all cores; both paths run the same
 :func:`~repro.service.executor.evaluate_core`, so responses are
-byte-identical either way. Two demand-side layers sit in front of
-evaluation (:mod:`repro.service.coalesce`): single-flight coalescing
-(identical in-flight requests share one evaluation) and an optional
-result cache (repeats of a finished evaluation skip it entirely).
-Admission control is what keeps tail latency bounded: beyond
-``max_concurrent + queue_limit`` concurrent *evaluations* the service
-sheds with a 503 instead of queueing without bound — coalesced
-followers and result-cache hits never occupy an admission slot.
+byte-identical either way. Single-flight coalescing
+(:mod:`repro.service.coalesce`) sits in front of evaluation: identical
+in-flight requests share one evaluation. Admission control is what
+keeps tail latency bounded: beyond ``max_concurrent + queue_limit``
+concurrent *evaluations* the service sheds with a 503 instead of
+queueing without bound — coalesced followers never occupy an
+admission slot.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-import traceback
 
 from ..counting import CostCounter
 from ..csp.instance import Constraint, CSPInstance
@@ -52,8 +50,13 @@ from ..observability.tracing import TraceContext, activate
 from ..relational.query import Atom, JoinQuery
 from ..relational.semiring import get_semiring
 from .admission import AdmissionController, RequestShedError
-from .coalesce import ResultCache, SingleFlight
-from .executor import ShardedExecutor, canonical_answers, evaluate_core
+from .coalesce import SingleFlight
+from .executor import (
+    ShardedExecutor,
+    canonical_answers,
+    evaluate_core,
+    fault_traceback,
+)
 from .http import (
     HttpProtocolError,
     HttpRequest,
@@ -79,11 +82,6 @@ TRACE_SCHEMA = "repro-service-trace/v1"
 #: The telemetry label of every request no endpoint serves, so unknown
 #: paths cannot grow the service's counters and histograms.
 UNKNOWN_ENDPOINT = "unknown"
-
-#: Innermost frames of an unexpected exception's traceback kept in its
-#: telemetry record: a RecursionError's full traceback runs to
-#: thousands of lines, and the record ring holds ``window`` of them.
-TRACEBACK_FRAMES = 30
 
 
 def query_from_payload(payload: dict) -> JoinQuery:
@@ -147,11 +145,9 @@ def csp_from_payload(payload: dict) -> CSPInstance:
 #: Everything else — answers, counts, route, reason, ops, and the
 #: request-scoped op-based metrics — is a pure function of (query,
 #: database content) and must match byte for byte across ``--workers``
-#: settings; the property suite and the scaling bench both compare
-#: through this filter.
-VOLATILE_FIELDS = frozenset(
-    {"request_id", "plan_cache", "coalesced", "result_cache"}
-)
+#: settings; the property suite and the cross-process ``serve`` test
+#: both compare through this filter.
+VOLATILE_FIELDS = frozenset({"request_id", "plan_cache", "coalesced"})
 
 
 def strip_volatile(payload: dict) -> dict:
@@ -175,12 +171,12 @@ class QueryService:
         window: int = 1024,
         debug_hold_ms: float = 0.0,
         workers: int = 0,
-        coalesce: bool = True,
-        result_cache_capacity: int = 0,
     ) -> None:
         self.store = store if store is not None else DatabaseStore(backend=backend)
         self.telemetry = ServiceTelemetry(slow_ms=slow_ms, window=window)
-        self.plan_cache = PlanCache(plan_cache_capacity)
+        self.plan_cache = PlanCache(
+            plan_cache_capacity, registry=self.telemetry.registry
+        )
         self.admission = AdmissionController(
             max_concurrent, queue_limit, registry=self.telemetry.registry
         )
@@ -192,11 +188,7 @@ class QueryService:
             if workers > 0
             else None
         )
-        self.coalesce_enabled = coalesce
         self.single_flight = SingleFlight(registry=self.telemetry.registry)
-        self.result_cache = (
-            ResultCache(result_cache_capacity) if result_cache_capacity > 0 else None
-        )
         #: Test seam: hold each admitted query this long (at an await
         #: point) so shed/queue behaviour is deterministic to provoke.
         self.debug_hold_ms = debug_hold_ms
@@ -355,7 +347,7 @@ class QueryService:
             # still gets a response and a telemetry record, and the
             # connection stays open for the next request.
             status = 500
-            detail = traceback.format_exc(limit=-TRACEBACK_FRAMES)
+            detail = fault_traceback(exc)
             body = json_response_bytes(
                 500,
                 {
@@ -396,8 +388,6 @@ class QueryService:
             raise SchemaError("registration payload needs a string 'name'")
         fingerprint = self.store.register(name, relations)
         dropped = self.plan_cache.invalidate_database(name)
-        if self.result_cache is not None:
-            self.result_cache.invalidate_database(name)
         if self.executor is not None and self.executor.started:
             await self.executor.replicate(name)
         self.telemetry.registry.gauge("store.databases").set(len(self.store))
@@ -452,9 +442,6 @@ class QueryService:
             self.store.backend,
             semiring_name,
         )
-        self.telemetry.registry.counter(
-            "plan_cache.hits" if was_hit else "plan_cache.misses"
-        ).inc()
         if semiring_name is not None:
             self.telemetry.registry.counter(
                 f"requests.semiring.{semiring_name}"
@@ -476,40 +463,18 @@ class QueryService:
             "database": database_name,
             "fingerprint": fingerprint,
         }
-        core: dict | None = None
-        source = "inline"
-        coalesced = False
-        cache_hit = False
-        if self.result_cache is not None:
-            cached = self.result_cache.get(plan.key)
-            if cached is not None:
-                # Served without evaluation or admission; the entry's
-                # key embeds the fingerprint, so content is current.
-                core = dict(cached, spans=[], shard=-1)
-                source = "cached"
-                cache_hit = True
-                self.telemetry.registry.counter("result_cache.hits").inc()
-            else:
-                self.telemetry.registry.counter("result_cache.misses").inc()
-        if core is None:
 
-            async def leader() -> dict:
-                return await self._evaluate_leader(
-                    database, spec, plan.key, request_id
-                )
+        async def leader() -> dict:
+            return await self._evaluate_leader(database, spec, request_id)
 
-            if self.coalesce_enabled:
-                core, coalesced = await self.single_flight.run(plan.key, leader)
-                if coalesced:
-                    # Followers share the leader's result, not its
-                    # observability: fresh envelope, no borrowed spans.
-                    core = dict(core, spans=[], shard=-1)
-                    source = "coalesced"
-                else:
-                    source = "worker" if core.get("shard", -1) >= 0 else "inline"
-            else:
-                core = await leader()
-                source = "worker" if core.get("shard", -1) >= 0 else "inline"
+        core, coalesced = await self.single_flight.run(plan.key, leader)
+        if coalesced:
+            # Followers share the leader's result, not its
+            # observability: fresh envelope, no borrowed spans.
+            core = dict(core, spans=[], shard=-1)
+            source = "coalesced"
+        else:
+            source = "worker" if core["shard"] >= 0 else "inline"
         result = {
             "request_id": request_id,
             "database": database_name,
@@ -523,8 +488,6 @@ class QueryService:
             "plan_cache": {"hit": was_hit, "key": plan.key},
             "metrics": core["metrics"],
         }
-        if self.result_cache is not None:
-            result["result_cache"] = {"hit": cache_hit}
         for field in ("answers", "count", "nonempty", "semiring", "aggregate"):
             if field in core:
                 result[field] = core[field]
@@ -532,21 +495,21 @@ class QueryService:
             "route": core["route"],
             "ops": core["ops"],
             "detail": f"{database_name}: {len(query.atoms)} atoms, mode={mode}",
-            "spans": core.get("spans", []),
+            "spans": core["spans"],
             "metrics": core["metrics"],
-            "shard": core.get("shard", -1),
+            "shard": core["shard"],
             "source": source,
         }
         return 200, json_response_bytes(200, result), extras
 
     async def _evaluate_leader(
-        self, database, spec: dict, key: str, request_id: str
+        self, database, spec: dict, request_id: str
     ) -> dict:
         """One admitted evaluation: worker dispatch with inline fallback.
 
         This is the only place `/query` work passes through admission —
-        result-cache hits and coalesced followers never reach it, so
-        admission slots meter actual evaluations.
+        coalesced followers never reach it, so admission slots meter
+        actual evaluations.
         """
         async with self.admission.admit():
             if self.debug_hold_ms > 0:
@@ -558,11 +521,6 @@ class QueryService:
             if core is None:
                 core = evaluate_core(database, spec, track=request_id)
                 core["shard"] = -1
-        if self.result_cache is not None:
-            entry = {
-                k: v for k, v in core.items() if k not in ("spans", "shard")
-            }
-            self.result_cache.put(key, spec["database"], entry)
         return core
 
     async def _handle_solve(self, request: HttpRequest, request_id: str):
@@ -618,7 +576,6 @@ class QueryService:
                 "backend": self.store.backend,
                 "databases": self.store.names(),
                 "workers": self.executor.workers if self.executor else 0,
-                "coalesce": self.coalesce_enabled,
             },
             "telemetry": self.telemetry.snapshot(),
             "plan_cache": self.plan_cache.to_payload(),
@@ -627,8 +584,6 @@ class QueryService:
         }
         if self.executor is not None:
             payload["executor"] = self.executor.to_payload()
-        if self.result_cache is not None:
-            payload["result_cache"] = self.result_cache.to_payload()
         if request_id:
             payload["request_id"] = request_id
         return payload

@@ -165,8 +165,8 @@ class RequestRecord:
     #: Owning worker shard for dispatched queries; -1 = evaluated (or
     #: served) in the parent process.
     shard: int = -1
-    #: How the response was produced: inline / worker / coalesced /
-    #: cached ("" for non-query endpoints).
+    #: How the response was produced: inline / worker / coalesced
+    #: ("" for non-query endpoints).
     source: str = ""
 
     def to_payload(self) -> dict:

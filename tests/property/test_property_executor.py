@@ -1,22 +1,21 @@
-"""Sharded + coalesced + result-cached responses ≡ inline responses.
+"""Sharded + coalesced responses ≡ inline responses.
 
-The scaling machinery of PR 9 — worker-process dispatch, single-flight
-coalescing, and the query result cache — is allowed to change *when*
-and *where* an evaluation runs, never *what it answers*. This suite
-drives two socketless service instances per backend over random
-queries and stores: a plain inline one (``workers=0``, no coalescing,
-no result cache) and a fully loaded one (``workers=2`` spawned pools +
-coalescing + result cache), and asserts the ``/query`` responses are
-byte-identical through :func:`strip_volatile` (the sanctioned filter:
-request ids, cache markers, and the coalesced flag legitimately
-differ; answers, counts, route, reason, ops, and request-scoped
-metrics must not) — across all three modes and both kernel backends,
-through first evaluation, result-cache repeat, and a coalesced
-concurrent batch.
+The scaling machinery — worker-process dispatch and single-flight
+coalescing — is allowed to change *when* and *where* an evaluation
+runs, never *what it answers*. This suite drives two socketless
+service instances per backend over random queries and stores: an
+inline one (``workers=0``) and a sharded one (``workers=2`` spawned
+pools), and asserts the ``/query`` responses are byte-identical
+through :func:`strip_volatile` (the sanctioned filter: request ids,
+the plan-cache marker, and the coalesced flag legitimately differ;
+answers, counts, route, reason, ops, and request-scoped metrics must
+not) — across all three modes and both kernel backends, through first
+evaluation, a repeat served from a cached plan, and a concurrent
+batch that may coalesce.
 
 Worker pools spawn once per module (they are warm processes, exactly
 as in production); every example re-registers the database, which
-exercises replication and cache invalidation on the loaded service.
+exercises replication and plan invalidation on the sharded service.
 """
 
 import asyncio
@@ -74,13 +73,8 @@ def harness():
     loop = asyncio.new_event_loop()
     pairs = {}
     for backend in BACKENDS:
-        inline = QueryService(backend=backend, coalesce=False)
-        loaded = QueryService(
-            backend=backend,
-            workers=2,
-            coalesce=True,
-            result_cache_capacity=64,
-        )
+        inline = QueryService(backend=backend)
+        loaded = QueryService(backend=backend, workers=2)
         loop.run_until_complete(loaded.ensure_executor())
         pairs[backend] = (inline, loaded)
     yield loop, pairs
@@ -131,14 +125,14 @@ def test_loaded_service_is_byte_identical_to_inline(
         assert status == 200
         assert _stripped(first) == _stripped(reference)
 
-        # Repeat: served from the result cache, still identical.
+        # Repeat: a plan-cache hit, evaluated again, still identical.
         status, repeat = await _post(loaded, "/query", request)
         assert status == 200
-        assert repeat["result_cache"]["hit"] is True
+        assert repeat["plan_cache"]["hit"] is True
         assert _stripped(repeat) == _stripped(reference)
 
-        # A concurrent identical batch (coalesced and/or cached —
-        # scheduling decides which): every response identical.
+        # A concurrent identical batch (coalesced or not — scheduling
+        # decides): every response identical.
         batch = await asyncio.gather(
             *(_post(loaded, "/query", request) for _ in range(3))
         )
@@ -146,9 +140,10 @@ def test_loaded_service_is_byte_identical_to_inline(
             assert status == 200
             assert _stripped(payload) == _stripped(reference)
 
-        # And the inline service repeats itself, cache or not.
+        # And the inline service repeats itself from its cached plan.
         status, again = await _post(inline, "/query", request)
         assert status == 200
+        assert again["plan_cache"]["hit"] is True
         assert _stripped(again) == _stripped(reference)
 
     loop.run_until_complete(body())

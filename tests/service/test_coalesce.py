@@ -1,12 +1,11 @@
-"""Units for single-flight coalescing and the bounded result cache."""
+"""Units for single-flight coalescing."""
 
 import asyncio
 
 import pytest
 
 from repro.errors import InvalidInstanceError
-from repro.service.coalesce import ResultCache, SingleFlight
-from repro.service.plan_cache import BoundedLruCache
+from repro.service.coalesce import SingleFlight
 
 
 def counters(flight):
@@ -119,52 +118,3 @@ class TestSingleFlight:
             }
 
         asyncio.run(main())
-
-
-class TestResultCache:
-    def test_get_put_and_hit_accounting(self):
-        cache = ResultCache(capacity=4)
-        assert cache.get("k1") is None
-        cache.put("k1", "demo", {"route": "wcoj", "ops": 7})
-        assert cache.get("k1") == {"route": "wcoj", "ops": 7}
-        payload = cache.to_payload()
-        assert payload["hits"] == 1 and payload["misses"] == 1
-        assert payload["size"] == 1 and payload["capacity"] == 4
-
-    def test_invalidate_database_drops_only_that_name(self):
-        cache = ResultCache(capacity=4)
-        cache.put("k1", "demo", {"ops": 1})
-        cache.put("k2", "demo", {"ops": 2})
-        cache.put("k3", "other", {"ops": 3})
-        assert cache.invalidate_database("demo") == 2
-        assert cache.get("k1") is None and cache.get("k2") is None
-        assert cache.get("k3") == {"ops": 3}
-
-    def test_lru_eviction_prefers_recently_used(self):
-        cache = ResultCache(capacity=2)
-        cache.put("k1", "demo", {"ops": 1})
-        cache.put("k2", "demo", {"ops": 2})
-        assert cache.get("k1") is not None  # refresh k1
-        cache.put("k3", "demo", {"ops": 3})  # evicts k2, the LRU entry
-        assert cache.get("k2") is None
-        assert cache.get("k1") is not None and cache.get("k3") is not None
-        assert cache.to_payload()["evictions"] == 1
-
-
-class TestBoundedLruCacheBase:
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(InvalidInstanceError):
-            BoundedLruCache(capacity=0)
-
-    def test_none_values_are_rejected(self):
-        cache = BoundedLruCache(capacity=2)
-        with pytest.raises(InvalidInstanceError):
-            cache.insert("k", None)
-
-    def test_drop_where_counts_removals(self):
-        cache = BoundedLruCache(capacity=8)
-        for index in range(4):
-            cache.insert(f"k{index}", index)
-        removed = cache.drop_where(lambda __, value: value % 2 == 0)
-        assert removed == 2
-        assert cache.lookup("k1") == 1 and cache.lookup("k3") == 3

@@ -1,5 +1,6 @@
-"""Plan-cache keying: hits on repeats, invalidation on content change;
-structure is derived once per miss and never on a hit."""
+"""Plan-cache keying: hits on repeats, invalidation on content change,
+each lookup counted once on the service registry; structure is derived
+once per miss and never on a hit."""
 
 import asyncio
 import json
@@ -10,6 +11,7 @@ import pytest
 from repro.errors import InvalidInstanceError
 from repro.generators.agm import uniform_random_database
 from repro.hypergraph import acyclicity
+from repro.observability.metrics import MetricsRegistry
 from repro.relational.query import JoinQuery
 from repro.relational.router import run_route
 from repro.relational.semiring import get_semiring
@@ -35,7 +37,7 @@ class TestPlanCache:
         )
         assert hit
         assert again is plan
-        assert cache.hit_ratio() == 0.5
+        assert cache.to_payload()["hit_ratio"] == 0.5
 
     def test_fingerprint_change_misses(self):
         cache = PlanCache(capacity=8)
@@ -44,7 +46,7 @@ class TestPlanCache:
             TRIANGLE, None, "enumerate", "demo", "f2", "columnar"
         )
         assert not hit
-        assert cache.misses == 2
+        assert cache.to_payload()["misses"] == 2
 
     def test_mode_free_and_backend_all_key(self):
         cache = PlanCache(capacity=16)
@@ -58,17 +60,21 @@ class TestPlanCache:
         for args in variants:
             __, hit = cache.get_or_build(*args)
             assert not hit
-        assert cache.misses == 1 + len(variants)
-        assert cache.hits == 0
+        payload = cache.to_payload()
+        assert payload["misses"] == 1 + len(variants)
+        assert payload["hits"] == 0
 
     def test_eviction_counts_and_respects_capacity(self):
-        cache = PlanCache(capacity=2)
+        registry = MetricsRegistry()
+        cache = PlanCache(capacity=2, registry=registry)
         for fingerprint in ("f1", "f2", "f3"):
             cache.get_or_build(
                 TRIANGLE, None, "enumerate", "demo", fingerprint, "columnar"
             )
         assert len(cache) == 2
-        assert cache.evictions == 1
+        # One count, two views: the cache's payload reads the registry.
+        assert cache.to_payload()["evictions"] == 1
+        assert registry.counter_value("plan_cache.evictions") == 1
         # The oldest entry is the evicted one.
         __, hit = cache.get_or_build(
             TRIANGLE, None, "enumerate", "demo", "f1", "columnar"
@@ -95,6 +101,24 @@ class TestPlanCache:
         assert cache.invalidate_database("demo") == 2
         assert len(cache) == 1
 
+    def test_invalidate_database_counts_and_keeps_the_rest(self):
+        cache = PlanCache(capacity=8)
+        entries = [
+            (query, name)
+            for query in (TRIANGLE, PATH)
+            for name in ("demo", "other")
+        ]
+        for query, name in entries:
+            cache.get_or_build(query, None, "enumerate", name, "f1", "columnar")
+        assert cache.invalidate_database("other") == 2
+        assert cache.invalidate_database("other") == 0
+        # Survivors stay reachable; the dropped plans are rebuilt.
+        for query, name in entries:
+            __, hit = cache.get_or_build(
+                query, None, "enumerate", name, "f1", "columnar"
+            )
+            assert hit == (name == "demo")
+
     def test_invalid_instances_raise_and_are_not_cached(self):
         cache = PlanCache(capacity=8)
         with pytest.raises(InvalidInstanceError):
@@ -102,11 +126,55 @@ class TestPlanCache:
                 TRIANGLE, ("a1",), "count", "demo", "f1", "columnar"
             )
         assert len(cache) == 0
-        assert cache.misses == 1
+        assert cache.to_payload()["misses"] == 1
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(InvalidInstanceError):
             PlanCache(capacity=0)
+
+    def test_service_rejects_a_nonpositive_plan_cache(self):
+        for capacity in (0, -1):
+            with pytest.raises(InvalidInstanceError):
+                QueryService(plan_cache_capacity=capacity)
+
+    def test_service_metrics_count_each_event_once(self):
+        """``/metrics`` shows plan-cache events twice — the ``plan_cache``
+        section and the registry counters — and both read one count."""
+        service = QueryService(plan_cache_capacity=1)
+        edges = [[1, 2], [2, 3], [3, 1]]
+        service.store.register(
+            "demo",
+            [
+                {"name": atom.relation_name, "attributes": ["x", "y"], "tuples": edges}
+                for atom in TRIANGLE.atoms
+            ],
+        )
+        atoms = [
+            {"relation": atom.relation_name, "attributes": list(atom.attributes)}
+            for atom in TRIANGLE.atoms
+        ]
+
+        async def run():
+            for mode in ("count", "count", "boolean"):  # miss, hit, evicting miss
+                body = json.dumps({"database": "demo", "atoms": atoms, "mode": mode})
+                data = await service.dispatch(
+                    HttpRequest("POST", "/query", body=body.encode())
+                )
+                assert data.startswith(b"HTTP/1.1 200")
+            return service.metrics_payload()
+
+        metrics = asyncio.run(run())
+        counters = metrics["telemetry"]["counters"]
+        section = metrics["plan_cache"]
+        assert (section["hits"], section["misses"], section["evictions"]) == (1, 2, 1)
+        assert (
+            counters["plan_cache.hits"],
+            counters["plan_cache.misses"],
+            counters["plan_cache.evictions"],
+        ) == (1, 2, 1)
+        assert sorted(section) == [
+            "capacity", "evictions", "hit_ratio", "hits", "misses", "size"
+        ]
 
     def test_plan_key_is_stable_and_content_addressed(self):
         key_a = plan_key(TRIANGLE, TRIANGLE.attributes, "enumerate", "d", "f", "columnar")

@@ -1,10 +1,9 @@
 """The semiring field end to end: keying, caching, invalidation.
 
-Satellite regression suite: the plan cache and the result cache key on
-the requested semiring (two semirings over the same query never share
-an entry), repeats are served from cache with the right aggregate
-value, and re-registering the database eagerly invalidates both caches
-so a stale aggregate can never be replayed.
+The plan cache keys on the requested semiring (two semirings over the
+same query never share an entry), repeats hit it and answer the right
+aggregate value, and re-registering the database eagerly invalidates
+every semiring's entry, so a stale plan can never be replayed.
 """
 
 import asyncio
@@ -74,22 +73,20 @@ class TestServiceSemiringCaching:
                 )
                 assert payload["semiring"] == name
                 assert payload["plan_cache"]["hit"] is False
-                assert payload["result_cache"]["hit"] is False
                 payloads[name] = payload
             keys = {p["plan_cache"]["key"] for p in payloads.values()}
             assert len(keys) == 3
 
-            # Repeats hit both caches and replay the correct value.
+            # Repeats hit the plan cache and answer the same value.
             __, again = await client.query(
                 "demo", TRIANGLE_ATOMS, mode="aggregate", semiring="minplus"
             )
             assert again["plan_cache"]["hit"] is True
-            assert again["result_cache"]["hit"] is True
             assert again["aggregate"] == payloads["minplus"]["aggregate"]
             assert again["aggregate"]["cost"] == 3.0
 
             # Re-registration eagerly invalidates every semiring's entry;
-            # the replayed value reflects the new data, not the old cache.
+            # the answered value reflects the new data, not the old plan.
             await client.register(
                 "demo",
                 [dict(r, tuples=[[1, 2], [2, 3], [1, 3]]) for r in RELATIONS],
@@ -99,7 +96,6 @@ class TestServiceSemiringCaching:
                     "demo", TRIANGLE_ATOMS, mode="aggregate", semiring=name
                 )
                 assert fresh["plan_cache"]["hit"] is False
-                assert fresh["result_cache"]["hit"] is False
                 assert fresh["plan_cache"]["key"] != old["plan_cache"]["key"]
             __, count = await client.query(
                 "demo", TRIANGLE_ATOMS, mode="aggregate", semiring="counting"
@@ -107,7 +103,7 @@ class TestServiceSemiringCaching:
             assert count["aggregate"] == 1
             return None
 
-        run_service(body, result_cache_capacity=16)
+        run_service(body)
 
     def test_default_semiring_is_counting_and_mix_is_tracked(self):
         async def body(service, host, port, client):

@@ -221,6 +221,35 @@ class TestWorkerEvaluationErrors:
             500, "RecursionError", 0, []
         )
 
+    def test_worker_fault_record_keeps_the_engine_frames(self):
+        """Pickling drops ``__traceback__``: the worker formats its frames
+        and the parent records them, so a fault's 500 record names the
+        engine frame it was raised in at every ``--workers`` setting."""
+
+        async def body(service, host, port, client):
+            status, payload = await client.query("demo", DEEP_CYCLE, mode="boolean")
+            [record] = [
+                r for r in service.telemetry.recent_requests() if r.status == 500
+            ]
+            return status, payload, record.detail
+
+        bodies = {}
+        for workers in (0, 2):
+            status, payload, detail = run_service(body, workers=workers)
+            assert status == 500
+            assert "witness_node" in detail, detail
+            assert detail.rstrip().endswith(
+                f"RecursionError: {payload['error']}"
+            ), detail
+            # CPython appends the C call site that hit the limit ("... in
+            # comparison"), which depends on the stack depth evaluation
+            # started at: the test runner's inline stack is deeper than
+            # a worker's. The rest of the body must match.
+            assert payload["error"].startswith("maximum recursion depth exceeded")
+            del payload["request_id"], payload["error"]
+            bodies[workers] = payload
+        assert bodies[2] == bodies[0] == {"exception": "RecursionError"}
+
 
 class TestStringShapedLists:
     """A string iterates like a list of its characters; the decoders
