@@ -10,12 +10,15 @@ atoms. An all-pairs GYO grows roughly as the cube here; this bench
 fails if the fitted log-log exponent of the time over the atom count
 exceeds :data:`MAX_EXPONENT`.
 
-Two families, on the columnar backend:
+Three families, on the columnar backend:
 
 * boolean path queries ``R_1(a_0, a_1), …, R_n(a_{n-1}, a_n)``, one
   100-edge relation per atom: ``decide_route`` + ``run_route``;
 * cycle queries of the same lengths: ``decide_route`` alone (their
-  Boolean evaluation is the Generic Join, whose cost is the data's).
+  Boolean evaluation is the Generic Join, whose cost is the data's);
+* the same cycles in ``count`` mode: ``decide_route`` alone, which also
+  computes the min-fill elimination order the plan carries — a
+  rescanning min-fill order grows roughly as the square here.
 
 Sizes, repeats and the bound are fixed here; the bench reads no
 environment settings. Each time is the best of :data:`REPEATS` calls,
@@ -101,4 +104,20 @@ def test_cycle_routing_is_linear():
     print(f"cycle decide exponent {exponent:.2f} (bound {MAX_EXPONENT})")
     assert exponent <= MAX_EXPONENT, (
         f"decide_route grows as n^{exponent:.2f} over {SIZES}-atom cycles"
+    )
+
+
+def test_cycle_count_planning_is_linear():
+    seconds = []
+    for n in SIZES:
+        query = JoinQuery.cycle(n)
+        decision = decide_route(query, mode="count")
+        assert decision.route == "wcoj" and len(decision.order) == n
+        seconds.append(_best_of(lambda: decide_route(query, mode="count")))
+        print(f"cycle n={n}: count decide {seconds[-1] * 1e3:.2f} ms")
+    exponent = _exponent(SIZES, seconds)
+    print(f"cycle count decide exponent {exponent:.2f} (bound {MAX_EXPONENT})")
+    assert exponent <= MAX_EXPONENT, (
+        f"decide_route(mode='count') grows as n^{exponent:.2f} over "
+        f"{SIZES}-atom cycles"
     )

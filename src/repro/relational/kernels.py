@@ -298,53 +298,89 @@ def _key_codes(
     """Comparable int codes for the two sides' key columns.
 
     Single-column keys are already comparable ints; multi-column keys
-    are jointly re-coded through one ``np.unique`` pass so equal key
-    tuples — and only those — share a code.
+    are jointly re-coded so equal key tuples — and only those — share a
+    code: packed into one ``int64`` per row (:func:`_packed_rows`), or
+    through one ``np.unique`` pass when packed keys would not fit. Both
+    sides must be non-empty.
     """
     if left_keys.shape[1] == 1:
         return left_keys[:, 0], right_keys[:, 0]
     combined = np.concatenate([left_keys, right_keys], axis=0)
-    _, inverse = np.unique(combined, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    return inverse[: left_keys.shape[0]], inverse[left_keys.shape[0] :]
+    codes = _packed_rows(combined)
+    if codes is None:
+        _, codes = np.unique(combined, axis=0, return_inverse=True)
+        codes = codes.reshape(-1)
+    return codes[: left_keys.shape[0]], codes[left_keys.shape[0] :]
 
 
-def _unique_rows(matrix: np.ndarray) -> np.ndarray:
-    """The distinct rows of ``matrix``, in lexicographic order.
+def _packed_rows(matrix: np.ndarray) -> np.ndarray | None:
+    """One ``int64`` key per row that orders like the rows, or ``None``.
 
     Interned codes are dense and non-negative, so each row packs into
-    one ``int64`` key in base ``max code + 1``; packed keys order like
-    the rows, and a 1-D ``np.unique`` over them replaces the void-row
-    sort of ``np.unique(axis=0)``. When the largest key,
-    ``(max code + 1) ** ncols - 1``, would not fit in ``int64``, it
-    falls back to ``np.unique(axis=0)``. Both paths return the same
-    rows in the same order.
+    one key in base ``max code + 1``. ``None`` when the largest key,
+    ``(max code + 1) ** ncols - 1``, would not fit in ``int64``.
     """
-    nrows, ncols = matrix.shape
-    if nrows <= 1 or ncols == 0:
-        return matrix[:1]
+    ncols = matrix.shape[1]
     base = int(matrix.max()) + 1
     if base**ncols > 2**63:
-        return np.unique(matrix, axis=0)
+        return None
     keys = matrix[:, 0].copy()
     for k in range(1, ncols):
         keys *= base
         keys += matrix[:, k]
-    _, first = np.unique(keys, return_index=True)
-    return matrix[first]
+    return keys
 
 
-def pairwise_join(
+def group_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, starts)``: a permutation that makes equal rows of
+    ``matrix`` contiguous, and the offset in it where each group of
+    equal rows starts (groups in lexicographic row order; rows within a
+    group in no particular order).
+
+    With no columns every row is equal: one group, when there are rows.
+    Packed keys (:func:`_packed_rows`) sort in one ``argsort``;
+    otherwise ``np.unique(axis=0)`` first re-codes the rows.
+
+    Complexity: O(n log n) for n rows.
+    """
+    nrows, ncols = matrix.shape
+    if ncols == 0 or nrows <= 1:
+        return np.arange(nrows), np.zeros(min(nrows, 1), dtype=np.int64)
+    keys = _packed_rows(matrix)
+    if keys is None:
+        _, keys = np.unique(matrix, axis=0, return_inverse=True)
+        keys = keys.reshape(-1)
+    order = np.argsort(keys)
+    ordered = keys[order]
+    change = np.empty(nrows, dtype=bool)
+    change[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=change[1:])
+    return order, np.flatnonzero(change)
+
+
+def _unique_rows(matrix: np.ndarray) -> np.ndarray:
+    """The distinct rows of ``matrix``, in lexicographic order: one row
+    per :func:`group_rows` group of equal rows."""
+    order, starts = group_rows(matrix)
+    return matrix[order[starts]]
+
+
+def join_gather(
     left: TableView, right: TableView, counter: CostCounter | None = None
-) -> TableView:
-    """Vectorized natural join of two views on interned ints.
+) -> tuple[TableView, np.ndarray, np.ndarray]:
+    """The natural join of two views on interned ints, with the gather
+    indices: output row ``k`` joins ``left`` row ``left_idx[k]`` with
+    ``right`` row ``right_idx[k]``, so a caller can gather arrays that
+    run parallel to the rows (semiring values) the same way.
 
     Build/probe is one stable sort plus two binary-search sweeps over
-    the key codes — no per-tuple dict churn — followed by a gather of
-    the matching row pairs. Charges mirror
+    the key codes — no per-tuple dict churn — then one gather of the
+    matching row pairs, grouped by left row; views without a shared
+    attribute give their cross product. Charges mirror
     :func:`repro.relational.joins.hash_join` exactly: one unit per
     right tuple (build), per left tuple (probe), and per matching pair
-    (output), so plan op totals are backend-invariant.
+    (output, charged before it is gathered), so plan op totals are
+    backend-invariant.
 
     The gathered rows need no deduplication: the output keeps every
     column of two duplicate-free views (see :class:`TableView`), so
@@ -355,42 +391,49 @@ def pairwise_join(
     """
     shared = [a for a in left.attributes if a in right.attributes]
     extra = [a for a in right.attributes if a not in left.attributes]
-    out_attrs = left.attributes + tuple(extra)
     nl, nr = len(left), len(right)
     charge(counter, nr)
     charge(counter, nl)
     if nl == 0 or nr == 0:
-        return TableView(out_attrs, np.empty((0, len(out_attrs)), np.int64))
-    extra_pos = [right.attributes.index(a) for a in extra]
-    if not shared:
+        left_idx = right_idx = np.empty(0, dtype=np.int64)
+    elif not shared:
         charge(counter, nl * nr)
-        left_part = np.repeat(left.matrix, nr, axis=0)
-        right_part = np.tile(right.matrix[:, extra_pos], (nl, 1))
-        return TableView(out_attrs, np.concatenate([left_part, right_part], axis=1))
-    lpos = [left.attributes.index(a) for a in shared]
-    rpos = [right.attributes.index(a) for a in shared]
-    kl, kr = _key_codes(left.matrix[:, lpos], right.matrix[:, rpos])
-    order = np.argsort(kr, kind="stable")
-    skr = kr[order]
-    lo = np.searchsorted(skr, kl, side="left")
-    hi = np.searchsorted(skr, kl, side="right")
-    counts = hi - lo
-    total = int(counts.sum())
-    charge(counter, total)
-    if total == 0:
-        return TableView(out_attrs, np.empty((0, len(out_attrs)), np.int64))
-    left_idx = np.repeat(np.arange(nl), counts)
-    group_starts = np.cumsum(counts) - counts
-    offsets = np.arange(total) - np.repeat(group_starts, counts)
-    right_idx = order[np.repeat(lo, counts) + offsets]
-    if extra_pos:
-        out = np.concatenate(
-            [left.matrix[left_idx], right.matrix[right_idx][:, extra_pos]],
-            axis=1,
-        )
+        left_idx = np.repeat(np.arange(nl), nr)
+        right_idx = np.tile(np.arange(nr), nl)
     else:
-        out = left.matrix[left_idx]
-    return TableView(out_attrs, out)
+        lpos = [left.attributes.index(a) for a in shared]
+        rpos = [right.attributes.index(a) for a in shared]
+        kl, kr = _key_codes(left.matrix[:, lpos], right.matrix[:, rpos])
+        order = np.argsort(kr, kind="stable")
+        skr = kr[order]
+        lo = np.searchsorted(skr, kl, side="left")
+        counts = np.searchsorted(skr, kl, side="right") - lo
+        ends = np.cumsum(counts)
+        total = int(ends[-1])
+        charge(counter, total)
+        left_idx = np.repeat(np.arange(nl), counts)
+        # Left row i's matches are right rows order[lo[i]:lo[i]+counts[i]],
+        # landing at output rows ends[i]-counts[i] onwards.
+        sorted_idx = np.repeat(lo - (ends - counts), counts)
+        sorted_idx += np.arange(total)
+        right_idx = order[sorted_idx]
+    width = len(left.attributes)
+    out = np.empty((len(left_idx), width + len(extra)), dtype=np.int64)
+    out[:, :width] = np.take(left.matrix, left_idx, axis=0)
+    for k, a in enumerate(extra):
+        out[:, width + k] = np.take(right.matrix[:, right.attributes.index(a)], right_idx)
+    return TableView(left.attributes + tuple(extra), out), left_idx, right_idx
+
+
+def pairwise_join(
+    left: TableView, right: TableView, counter: CostCounter | None = None
+) -> TableView:
+    """Vectorized natural join of two views on interned ints: the view
+    half of :func:`join_gather`, charged the same.
+
+    Complexity: O((|L| + |R|) log |R| + |out|).
+    """
+    return join_gather(left, right, counter)[0]
 
 
 def semijoin(
@@ -883,24 +926,50 @@ def boolean_generic_join_columnar(
     return emitted > 0
 
 
-# -- per-semiring vectorized segment folds -----------------------------
+# -- per-semiring value arrays and vectorized segment folds -----------
 
-#: Values below this bound sum safely in ``int64``: with fewer than
-#: 2^31 addends each below 2^31, every partial sum stays under 2^63.
-_SEGMENT_SUM_BOUND = 2**31
+#: Every ``int64`` value lies below this bound. Counting values stay in
+#: ``int64`` only while a bound proves that every product and segment
+#: sum computed from them does too.
+_INT64_BOUND = 2**63
 
 
-def segment_fold(semiring, values: list, starts: list[int]) -> list:
-    """⊕-fold each contiguous segment of ``values`` (segment ``i``
-    spans ``starts[i]:starts[i+1]``); returns one folded value per
-    segment.
+def value_array(semiring, values: Sequence) -> np.ndarray:
+    """Semiring values as one 1-D array, the form :func:`value_product`
+    and :func:`segment_fold` work on: ``int64`` for counting values that
+    fit it, Python objects otherwise (exact ints, witness pairs,
+    polynomials)."""
+    if semiring.name == "counting" and all(0 <= v < _INT64_BOUND for v in values):
+        return np.array(values, dtype=np.int64)
+    return np.fromiter(values, dtype=object, count=len(values))
 
-    The per-semiring numpy fast paths of the acyclic sum-product DP
-    (:func:`repro.relational.yannakakis.semiring_yannakakis`):
 
-    * **counting** — ``np.add.reduceat`` segment sums, guarded so every
-      partial sum provably fits ``int64`` (falling back to exact
-      Python ints otherwise);
+def value_product(semiring, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Elementwise ⊗ of two parallel value arrays.
+
+    Two ``int64`` (counting) arrays multiply in ``int64`` when the
+    product of their maxima fits it; otherwise each product is the
+    semiring's own, over Python objects (exact ints past ``int64``).
+    """
+    if left.dtype == np.int64 and right.dtype == np.int64:
+        if not len(left) or int(left.max()) * int(right.max()) < _INT64_BOUND:
+            return left * right
+    mul = np.frompyfunc(semiring.mul, 2, 1)
+    return mul(left.astype(object, copy=False), right.astype(object, copy=False))
+
+
+def segment_fold(semiring, values: np.ndarray, starts) -> np.ndarray:
+    """⊕-fold each contiguous segment of the value array ``values``
+    (segment ``i`` spans ``starts[i]:starts[i+1]``); returns one folded
+    value per segment, as an array of the same kind.
+
+    The per-semiring numpy fast paths of the sum-product DPs
+    (:func:`repro.relational.yannakakis.semiring_yannakakis`,
+    :func:`repro.relational.elimination.variable_elimination`):
+
+    * **counting** — ``np.add.reduceat`` segment sums, in ``int64``
+      when the row count times the largest value fits it (no segment
+      sums to more), and over exact Python ints otherwise;
     * **minplus** — ``np.minimum.reduceat`` over the cost column finds
       each segment's minimum cost, then only the (typically single)
       cost-tied candidates are compared under the full witness order;
@@ -911,41 +980,27 @@ def segment_fold(semiring, values: list, starts: list[int]) -> list:
     """
     nseg = len(starts)
     if nseg == 0:
-        return []
-
-    def scalar_fold() -> list:
-        out = []
-        for i in range(nseg):
-            hi = starts[i + 1] if i + 1 < nseg else len(values)
-            acc = values[starts[i]]
-            for j in range(starts[i] + 1, hi):
-                acc = semiring.add(acc, values[j])
-            out.append(acc)
-        return out
-
+        return values[:0]
     if semiring.name == "counting":
-        if (
-            len(values) < _SEGMENT_SUM_BOUND
-            and all(0 <= v < _SEGMENT_SUM_BOUND for v in values)
-        ):
-            return np.add.reduceat(
-                np.asarray(values, dtype=np.int64), starts
-            ).tolist()
-        return scalar_fold()
+        if values.dtype == np.int64 and len(values) * int(values.max()) >= _INT64_BOUND:
+            values = values.astype(object)
+        return np.add.reduceat(values, starts)
+    bounds = [int(i) for i in starts] + [len(values)]
+    out = []
     if semiring.name == "minplus":
-        costs = np.asarray([v[0] for v in values], dtype=np.float64)
+        costs = np.fromiter((v[0] for v in values), dtype=np.float64, count=len(values))
         minima = np.minimum.reduceat(costs, starts)
-        out = []
         for i in range(nseg):
-            hi = starts[i + 1] if i + 1 < nseg else len(values)
             best = None
-            for j in range(starts[i], hi):
+            for j in range(bounds[i], bounds[i + 1]):
                 if values[j][0] == minima[i]:
                     cand = values[j]
-                    if best is None:
-                        best = cand
-                    else:
-                        best = semiring.add(best, cand)
+                    best = cand if best is None else semiring.add(best, cand)
             out.append(best if best is not None else semiring.zero)
-        return out
-    return scalar_fold()
+    else:
+        for i in range(nseg):
+            acc = values[bounds[i]]
+            for j in range(bounds[i] + 1, bounds[i + 1]):
+                acc = semiring.add(acc, values[j])
+            out.append(acc)
+    return np.fromiter(out, dtype=object, count=nseg)

@@ -3,10 +3,11 @@
 The paper's operational story is a case split — free-connex acyclic
 queries enumerate with constant delay from a factorized representation,
 α-acyclic queries evaluate in polynomial time by Yannakakis, everything
-else pays the AGM-bound worst-case-optimal join. The resident query
-service (:mod:`repro.service`) serves every request through this
-module so each response can carry *which* branch of the dichotomy it
-took and what it cost.
+else pays for its cycles: the AGM-bound worst-case-optimal join, or a
+decomposition's width. The resident query service
+(:mod:`repro.service`) serves every request through this module so
+each response can carry *which* branch of the dichotomy it took and
+what it cost.
 
 Route labels (stable API, persisted in responses and metrics):
 
@@ -15,26 +16,44 @@ Route labels (stable API, persisted in responses and metrics):
 * ``"yannakakis"`` — α-acyclic: for ``enumerate`` when the projection
   is not free-connex (full join along the join tree, then project),
   and every acyclic value-mode request;
-* ``"wcoj"`` — cyclic: Generic Join at the AGM bound.
+* ``"wcoj"`` — cyclic: Generic Join at the AGM bound, or, for the
+  value modes of a query with more than one bag, variable elimination
+  along a min-fill order.
 
 Value modes. ``count``, ``boolean`` and ``aggregate`` are one
 evaluation problem with the semiring as a parameter (Fan–Koutris,
 PAPERS.md): ``count`` is a wire alias of ``aggregate`` over
-``counting`` and ``boolean`` of ``aggregate`` over ``boolean``. One
-route rule serves all three: α-acyclic queries go to ``yannakakis``
-(:func:`~repro.relational.yannakakis.semiring_yannakakis`, a
-sum-product DP along a join tree), cyclic ones to ``wcoj``
-(:func:`~repro.relational.wcoj.generic_join_aggregate`). Each response
-keeps its mode's field: ``count``, ``nonempty`` or ``aggregate``.
+``counting`` and ``boolean`` of ``aggregate`` over ``boolean``. They
+route alike:
+
+* α-acyclic → ``yannakakis``, a sum-product DP along a join tree
+  (:func:`~repro.relational.yannakakis.semiring_yannakakis`);
+* cyclic with one bag → ``wcoj``, whole-query Generic Join
+  (:func:`~repro.relational.wcoj.generic_join_aggregate`);
+* cyclic with several bags → ``wcoj``, variable elimination along the
+  plan's min-fill order
+  (:func:`~repro.relational.elimination.variable_elimination`).
+
+A cyclic value-mode plan carries the min-fill elimination order of the
+query's primal graph
+(:func:`~repro.treewidth.heuristics.min_fill_order`), computed once per
+plan. When the order's first bag — its first attribute and that
+attribute's neighbours — already holds every attribute (the triangle,
+any clique), the query is one bag and keeps whole-query Generic Join;
+otherwise the plan's reason names the order's width, which bounds
+every join the elimination builds (Freuder, Theorem 4.2). Each
+response keeps its mode's field: ``count``, ``nonempty`` or
+``aggregate``.
 
 Boolean short-circuit. When the semiring is annotation-free and its ⊕
 is idempotent (today only ``boolean``), every answer weighs ``one``
 and any number of them sums to ``one``, so SumProd is ``one`` exactly
 when an answer exists. The router then runs the first-witness engine
-of the same route — :func:`~repro.relational.yannakakis.boolean_yannakakis`
+of the route — :func:`~repro.relational.yannakakis.boolean_yannakakis`
 or :func:`~repro.relational.wcoj.boolean_generic_join` — which stops
-at the first answer. The engines themselves stay full traversals, so
-their op counts do not depend on the semiring.
+at the first answer, whatever order the plan carries. The engines
+themselves stay full traversals, so their op counts do not depend on
+the semiring.
 
 Each decision is also recorded on the ambient metrics registry
 (``route.<label>`` counters, plus a ``semiring.<name>`` counter for
@@ -52,7 +71,9 @@ from ..errors import InvalidInstanceError
 from ..hypergraph.acyclicity import Links, gyo
 from ..observability.metrics import inc
 from ..observability.tracing import span
+from ..treewidth.heuristics import elimination_width, min_fill_order
 from .database import Database
+from .elimination import variable_elimination
 from .factorized import _validated_free, factorize, free_connex_forests
 from .query import JoinQuery
 from .relation import Relation
@@ -74,14 +95,18 @@ ALIASES = {"count": COUNTING, "boolean": BOOLEAN}
 @dataclass(frozen=True)
 class RouteDecision:
     """Which engine a (query, free, mode) instance is served by, and why,
-    with the join forests it runs on: the query's own for ``yannakakis``,
+    with the structure it runs on: the join forests — the query's own
+    for ``yannakakis``,
     :func:`~repro.relational.factorized.free_connex_forests` for
-    ``factorized`` (engines given none derive their own)."""
+    ``factorized`` (engines given none derive their own) — and, for a
+    cyclic value-mode query of several bags, the elimination order
+    (without one, ``wcoj`` folds by Generic Join)."""
 
     route: str
     mode: str
     reason: str
     forests: tuple[Links, ...] | None = None
+    order: tuple[str, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -109,15 +134,20 @@ def decide_route(
     """The dichotomy case split, without executing anything.
 
     Runs one GYO pass (:func:`~repro.hypergraph.acyclicity.gyo`) per
-    hypergraph the route needs and keeps their join forests.
+    hypergraph the route needs and keeps their join forests; a cyclic
+    value-mode query also gets its min-fill elimination order, kept
+    when the query has more than one bag.
 
-    Complexity: O(r² · d · |A|) — at most three GYO passes, over |A|
-        atoms of arity ≤ r whose attributes lie in ≤ d atoms each.
+    Complexity: O(r² · d · |A| + n · k⁴ + n log n) — at most three GYO
+        passes, over |A| atoms of arity ≤ r whose attributes lie in ≤ d
+        atoms each, and one min-fill order over n attributes whose
+        degree in the fill-in graph stays ≤ k.
     """
     if mode not in MODES:
         raise InvalidInstanceError(f"unknown mode {mode!r}; expected one of {MODES}")
     free_t = _validated_free(query, free)
-    shape = gyo(query.hypergraph())
+    hypergraph = query.hypergraph()
+    shape = gyo(hypergraph)
     acyclic = not shape.residue
     join = shape.forest() if acyclic else ()
     if mode != "enumerate":
@@ -129,6 +159,15 @@ def decide_route(
         if acyclic:
             reason = "alpha-acyclic: sum-product along a join tree"
             return RouteDecision("yannakakis", mode, reason, (join,))
+        primal = hypergraph.primal_graph()
+        order = tuple(min_fill_order(primal))
+        if primal.degree(order[0]) + 1 < len(order):
+            width = elimination_width(primal, order)
+            reason = (
+                "cyclic: variable elimination along a min-fill order "
+                f"of width {width}"
+            )
+            return RouteDecision("wcoj", mode, reason, order=order)
         return RouteDecision(
             "wcoj", mode, "cyclic: generic join folding semiring values"
         )
@@ -226,6 +265,10 @@ def run_route(
         elif join_tree:
             value = semiring_yannakakis(
                 query, database, semiring, counter=counter, links=links
+            )
+        elif decision.order is not None:
+            value = variable_elimination(
+                query, database, semiring, decision.order, counter=counter
             )
         else:
             value = generic_join_aggregate(query, database, semiring, counter=counter)

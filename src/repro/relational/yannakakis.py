@@ -341,9 +341,10 @@ def semiring_yannakakis(
             for group in buckets.values():
                 starts.append(len(flat))
                 flat.extend(group)
-            message = dict(
-                zip(buckets, kernels.segment_fold(semiring, flat, starts))
+            folded = kernels.segment_fold(
+                semiring, kernels.value_array(semiring, flat), starts
             )
+            message = dict(zip(buckets, folded.tolist()))
             ppos = [rel.position(a) for a in shared]
             for t in node_vals:
                 charge(counter)
@@ -356,7 +357,9 @@ def semiring_yannakakis(
         totals = list(values[root].values())
         if not totals:
             return zero
-        starts = [0]
-        result = mul(result, kernels.segment_fold(semiring, totals, starts)[0])
+        total = kernels.segment_fold(
+            semiring, kernels.value_array(semiring, totals), [0]
+        )
+        result = mul(result, total.tolist()[0])
     return result
 

@@ -120,10 +120,11 @@ def evaluate_core(database, spec: dict, track: str) -> dict:
     request-scoped metrics/span payloads. Inline evaluation and worker
     dispatch both call this one function, which is what makes
     ``--workers N`` responses byte-identical to ``--workers 0``. The
-    spec's ``forests`` are the plan's join forests
-    (:class:`~repro.relational.router.RouteDecision`), so evaluation
-    analyses no query structure; a spec without them has the engines
-    derive their own.
+    spec's ``forests`` and ``order`` are the plan's join forests and
+    elimination order (:class:`~repro.relational.router.RouteDecision`),
+    so evaluation analyses no query structure; a spec without forests
+    has the engines derive their own, and one without an order folds a
+    cyclic query by whole-query Generic Join.
     """
     query = JoinQuery(
         Atom(atom["relation"], tuple(atom["attributes"])) for atom in spec["atoms"]
@@ -133,6 +134,7 @@ def evaluate_core(database, spec: dict, track: str) -> dict:
         mode=spec["mode"],
         reason=spec["reason"],
         forests=spec.get("forests"),
+        order=spec.get("order"),
     )
     semiring = (
         get_semiring(spec["semiring"]) if spec.get("semiring") is not None else None

@@ -3,9 +3,9 @@
 Deciding a route runs one GYO structure pass per hypergraph the route
 needs (:func:`~repro.relational.router.decide_route`), and the
 resulting :class:`~repro.relational.router.RouteDecision` carries the
-join forests its engine runs on, so a query served from a cached plan
-analyses no structure at all — on the parent or in a shard worker,
-which receives the forests in its spec. A *cold* evaluation also
+join forests or the elimination order its engine runs on, so a query
+served from a cached plan analyses no structure at all — on the parent
+or in a shard worker, which receives them in its spec. A *cold* evaluation also
 rebuilds per-database index structures. The service therefore caches
 the decision — together with the validated free tuple — in a
 :class:`PreparedPlan` under a content-addressed key, the same
@@ -68,8 +68,8 @@ def plan_key(
 
 @dataclass(frozen=True)
 class PreparedPlan:
-    """A cached routing decision and its join forests, ready to hand to
-    ``run_route``."""
+    """A cached routing decision with its join forests or elimination
+    order, ready to hand to ``run_route``."""
 
     key: str
     decision: RouteDecision

@@ -346,12 +346,16 @@ class QueryService:
             # The boundary every request passes: a fault in an engine
             # still gets a response and a telemetry record, and the
             # connection stays open for the next request.
+            # The body names only the exception's type: its message can
+            # depend on where it was raised (a RecursionError's names the
+            # C call site, which differs inline and in a shard worker),
+            # and the record's traceback keeps it.
             status = 500
             detail = fault_traceback(exc)
             body = json_response_bytes(
                 500,
                 {
-                    "error": str(exc),
+                    "error": "internal error",
                     "exception": type(exc).__name__,
                     "request_id": request_id,
                 },
@@ -460,6 +464,7 @@ class QueryService:
             "route": plan.decision.route,
             "reason": plan.decision.reason,
             "forests": plan.decision.forests,
+            "order": plan.decision.order,
             "database": database_name,
             "fingerprint": fingerprint,
         }

@@ -11,6 +11,7 @@ and nice decompositions for dynamic programming.
 from .decomposition import TreeDecomposition
 from .heuristics import (
     decomposition_from_elimination_order,
+    elimination_width,
     min_degree_order,
     min_fill_order,
     treewidth_lower_bound_degeneracy,
@@ -25,6 +26,7 @@ __all__ = [
     "NiceTreeDecomposition",
     "TreeDecomposition",
     "decomposition_from_elimination_order",
+    "elimination_width",
     "make_nice",
     "min_degree_order",
     "min_fill_order",

@@ -7,7 +7,9 @@ annotation-reachable values, and the repo-wide invariant that for
 every (semiring, engine, backend) triple, aggregating through the
 generic core is byte-identical to materializing the full answer and
 folding it flat. It also pins the router's value modes: ``count`` and
-``boolean`` are aliases of ``aggregate`` and share its route.
+``boolean`` are aliases of ``aggregate`` and share its route; cyclic
+queries of several bags fold by variable elimination, with the same
+ops on both backends and under every semiring.
 """
 
 from hypothesis import given, settings
@@ -16,15 +18,28 @@ from hypothesis import strategies as st
 from repro.counting import CostCounter
 from repro.generators.agm import uniform_random_database
 from repro.relational.factorized import factorize
-from repro.relational.query import JoinQuery
-from repro.relational.router import execute_route
+from repro.relational.elimination import variable_elimination
+from repro.relational.query import Atom, JoinQuery
+from repro.relational.router import decide_route, execute_route
 from repro.relational.semiring import BOOLEAN, COUNTING, all_semirings, get_semiring
 from repro.relational.wcoj import generic_join, generic_join_aggregate
 from repro.relational.yannakakis import semiring_yannakakis
 
+
+def _query(*atoms: str) -> JoinQuery:
+    """``_query("ab", "bc")`` -> R1(a, b), R2(b, c)."""
+    return JoinQuery(
+        Atom(f"R{i + 1}", (pair[0], pair[1])) for i, pair in enumerate(atoms)
+    )
+
+
 SHAPES = {
     "triangle": JoinQuery.triangle,
     "cycle4": lambda: JoinQuery.cycle(4),
+    "cycle5": lambda: JoinQuery.cycle(5),
+    "cycle6": lambda: JoinQuery.cycle(6),
+    "triangle-pendant": lambda: _query("ab", "bc", "ac", "cd"),
+    "two-triangles": lambda: _query("ab", "bc", "ac", "bd", "cd"),
     "path2": lambda: JoinQuery.path(2),
     "path3": lambda: JoinQuery.path(3),
     "star2": lambda: JoinQuery.star(2),
@@ -32,6 +47,9 @@ SHAPES = {
 }
 
 ACYCLIC = {"path2", "path3", "star2", "star3"}
+
+#: Cyclic shapes whose min-fill order has more than one bag.
+MULTI_BAG = {"cycle4", "cycle5", "cycle6", "triangle-pendant", "two-triangles"}
 
 SEMIRING_NAMES = sorted(s.name for s in all_semirings())
 
@@ -95,6 +113,50 @@ def test_aggregate_backend_parity_values_and_ops(shape, name, size, domain, seed
     v2 = generic_join_aggregate(query, columnar, semiring, counter=c2)
     assert _wire(semiring, v1) == _wire(semiring, v2)
     assert c1.total == c2.total
+
+
+@given(
+    shape=st.sampled_from(sorted(SHAPES)),
+    size=st.integers(1, 20),
+    domain=st.integers(1, 6),
+    seed=st.integers(0, 10**6),
+)
+@settings(max_examples=60, deadline=None)
+def test_routed_value_modes_match_flat_fold(shape, size, domain, seed):
+    """``execute_route``'s ``count`` and ``aggregate`` answers are the
+    flat fold's wire bytes under every semiring on both backends, with
+    equal ops across backends. Multi-bag cyclic shapes run variable
+    elimination, whose ops are the same under every semiring."""
+    from repro.relational.semiring import aggregate_relation
+
+    query = SHAPES[shape]()
+    naive = uniform_random_database(query, size, domain, seed=seed)
+    columnar = naive.with_backend("columnar")
+    full = generic_join(query, naive)
+    order = decide_route(query, mode="aggregate").order
+    assert (order is not None) == (shape in MULTI_BAG)
+    eliminated = set()
+    for database in (naive, columnar):
+        count = execute_route(query, database, mode="count")
+        assert count.count == len(full)
+        for name in SEMIRING_NAMES:
+            semiring = get_semiring(name)
+            routed = execute_route(query, database, mode="aggregate", semiring=semiring)
+            expected = _wire(semiring, aggregate_relation(semiring, query, full))
+            assert _wire(semiring, routed.aggregate) == expected, (name, database.backend)
+            if order is not None:
+                counter = CostCounter()
+                value = variable_elimination(query, database, semiring, order, counter)
+                assert _wire(semiring, value) == expected
+                eliminated.add(counter.total)
+                if name != "boolean":  # boolean takes the first-witness walk
+                    assert routed.ops == counter.total
+    backends = [
+        execute_route(query, database, mode="count").ops
+        for database in (naive, columnar)
+    ]
+    assert backends[0] == backends[1]
+    assert len(eliminated) == (1 if order is not None else 0)
 
 
 @given(

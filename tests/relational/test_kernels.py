@@ -15,13 +15,19 @@ from repro.relational.kernels import (
     SortedTrieIndex,
     TableView,
     _unique_rows,
+    group_rows,
+    join_gather,
     pairwise_join,
     project_view,
+    segment_fold,
     semijoin,
     to_relation,
+    value_array,
+    value_product,
 )
 from repro.relational.query import Atom, JoinQuery
 from repro.relational.relation import Relation
+from repro.relational.semiring import COUNTING, MIN_PLUS, PROVENANCE
 from repro.relational.wcoj import boolean_generic_join, generic_join
 
 
@@ -182,6 +188,69 @@ def test_unique_rows_matches_numpy_unique(matrix):
     want = np.unique(matrix, axis=0)
     assert got.shape == want.shape
     assert np.array_equal(got, want)
+
+
+@given(
+    left=_distinct_view(("a", "b", "c")),
+    right=_distinct_view(("b", "c", "d")),
+)
+@settings(max_examples=100, deadline=None)
+def test_join_gather_indices_name_each_output_rows_sources(left, right):
+    counter = CostCounter()
+    out, left_idx, right_idx = join_gather(left, right, counter)
+    assert np.array_equal(out.matrix, pairwise_join(left, right).matrix)
+    assert counter.total == len(left) + len(right) + len(out)
+    for row, i, j in zip(out.matrix.tolist(), left_idx, right_idx):
+        merged = dict(zip(right.attributes, right.matrix[j].tolist()))
+        merged.update(zip(left.attributes, left.matrix[i].tolist()))
+        assert row == [merged[a] for a in out.attributes]
+
+
+@given(matrix=st.one_of(_matrices(_NARROW_CODES), _matrices(_WIDE_CODES)))
+@settings(max_examples=150, deadline=None)
+def test_group_rows_makes_equal_rows_contiguous(matrix):
+    order, starts = group_rows(matrix)
+    assert sorted(order.tolist()) == list(range(len(matrix)))
+    grouped = matrix[order]
+    bounds = starts.tolist() + [len(matrix)]
+    firsts = grouped[starts] if len(matrix) else matrix[:0]
+    assert np.array_equal(firsts, np.unique(matrix, axis=0))
+    for lo, hi in zip(bounds, bounds[1:]):
+        assert (grouped[lo:hi] == grouped[lo]).all()
+
+
+def test_group_rows_without_columns_is_one_group():
+    order, starts = group_rows(np.empty((3, 0), dtype=np.int64))
+    assert order.tolist() == [0, 1, 2] and starts.tolist() == [0]
+    order, starts = group_rows(np.empty((0, 0), dtype=np.int64))
+    assert order.tolist() == [] and starts.tolist() == []
+
+
+@pytest.mark.parametrize("big", [3, 2**31, 2**40, 2**62, 2**70])
+def test_counting_values_stay_exact_past_int64(big):
+    values = [big, big, 1, big, 5]
+    array = value_array(COUNTING, values)
+    assert array.dtype == (np.int64 if big < 2**63 else object)
+    sums = segment_fold(COUNTING, array, [0, 2, 4]).tolist()
+    assert sums == [2 * big, 1 + big, 5]
+    products = value_product(COUNTING, array, array).tolist()
+    assert products == [v * v for v in values]
+    assert all(type(v) is int for v in sums + products)
+
+
+def test_segment_fold_matches_the_scalar_fold_for_annotated_semirings():
+    for semiring in (MIN_PLUS, PROVENANCE):
+        values = [semiring.annotate("R", (i % 3,)) for i in range(7)]
+        values[4] = semiring.mul(values[4], values[1])
+        folded = segment_fold(semiring, value_array(semiring, values), [0, 3, 6])
+        bounds = [0, 3, 6, 7]
+        want = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            acc = values[lo]
+            for v in values[lo + 1 : hi]:
+                acc = semiring.add(acc, v)
+            want.append(acc)
+        assert folded.tolist() == want
 
 
 def test_semijoin_filters_and_charges():

@@ -19,10 +19,12 @@ from repro.service import QueryService
 from repro.service.executor import evaluate_core
 from repro.service.http import HttpRequest
 from repro.service.plan_cache import PlanCache, plan_key
+from repro.treewidth import heuristics
 
 
 TRIANGLE = JoinQuery.triangle()
 PATH = JoinQuery.path(3)
+CYCLE5 = JoinQuery.cycle(5)
 
 
 class TestPlanCache:
@@ -185,10 +187,10 @@ class TestPlanCache:
         assert len(key_a) == 64
 
 
-def count_passes(fn, *args, **kwargs):
-    """``(GYO passes run, result)`` of one call: every call of
-    :func:`repro.hypergraph.acyclicity.gyo`, however its caller imported it."""
-    code = acyclicity.gyo.__code__
+def count_calls(target, fn, *args, **kwargs):
+    """``(calls of target, result)`` of one call of ``fn``: every call of
+    the function ``target``, however its caller imported it."""
+    code = target.__code__
     calls = 0
 
     def profile(frame, event, arg):
@@ -205,6 +207,17 @@ def count_passes(fn, *args, **kwargs):
     return calls, result
 
 
+def count_passes(fn, *args, **kwargs):
+    """``(GYO passes run, result)`` of one call: every call of
+    :func:`repro.hypergraph.acyclicity.gyo`."""
+    return count_calls(acyclicity.gyo, fn, *args, **kwargs)
+
+
+def count_orders(fn, *args, **kwargs):
+    """``(min-fill orders computed, result)`` of one call."""
+    return count_calls(heuristics.min_fill_order, fn, *args, **kwargs)
+
+
 class TestStructurePasses:
     """One GYO pass per hypergraph a route needs on a miss; none after."""
 
@@ -219,6 +232,8 @@ class TestStructurePasses:
             (TRIANGLE, None, "enumerate", "wcoj", 1),
             (TRIANGLE, ("a1",), "enumerate", "wcoj", 1),
             (TRIANGLE, None, "aggregate", "wcoj", 1),
+            (CYCLE5, None, "count", "wcoj", 1),
+            (CYCLE5, None, "aggregate", "wcoj", 1),
         ],
     )
     def test_miss_runs_one_pass_per_hypergraph_and_hits_run_none(
@@ -242,6 +257,54 @@ class TestStructurePasses:
             semiring=get_semiring(semiring) if semiring else None,
         )
         assert calls == 0
+
+    @pytest.mark.parametrize(
+        "mode, semiring", [("count", None), ("aggregate", "minplus")]
+    )
+    def test_cyclic_value_plan_computes_one_order_per_miss(self, mode, semiring):
+        """A miss computes the elimination order once; a hit, run_route
+        and a worker spec compute none, and the spec's order gives the
+        answer and ops the plan's decision gives."""
+        cache = PlanCache(capacity=8)
+        key = (CYCLE5, None, mode, "demo", "f1", "columnar", semiring)
+        orders, (plan, hit) = count_orders(cache.get_or_build, *key)
+        assert (plan.decision.route, hit, orders) == ("wcoj", False, 1)
+        assert plan.decision.order == CYCLE5.attributes
+        assert plan.decision.reason.endswith("min-fill order of width 2")
+        orders, (again, hit) = count_orders(cache.get_or_build, *key)
+        assert (again is plan, hit, orders) == (True, True, 0)
+
+        database = uniform_random_database(CYCLE5, 12, 4, seed=3)
+        orders, answer = count_orders(
+            run_route,
+            CYCLE5,
+            database,
+            plan.decision,
+            semiring=get_semiring(semiring) if semiring else None,
+        )
+        assert orders == 0
+        spec = {
+            "atoms": [
+                {"relation": atom.relation_name, "attributes": list(atom.attributes)}
+                for atom in CYCLE5.atoms
+            ],
+            "free": list(plan.free),
+            "mode": mode,
+            "semiring": semiring,
+            "route": plan.decision.route,
+            "reason": plan.decision.reason,
+            "forests": plan.decision.forests,
+            "order": plan.decision.order,
+        }
+        orders, core = count_orders(evaluate_core, database, spec, "t")
+        assert orders == 0
+        assert core["ops"] == answer.ops
+        if mode == "count":
+            assert core["count"] == answer.count
+        else:
+            assert core["aggregate"] == get_semiring(semiring).to_payload(
+                answer.aggregate
+            )
 
     @pytest.mark.parametrize("free", [None, ("a0", "a1"), ("a0", "a3")])
     def test_worker_spec_evaluates_without_a_pass(self, free):

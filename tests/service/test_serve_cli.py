@@ -143,9 +143,16 @@ PATH_ATOMS = [
     {"relation": "R1", "attributes": ["a1", "a2"]},
     {"relation": "R3", "attributes": ["a2", "a3"]},
 ]
+#: A 5-cycle: several bags, so its value modes run variable elimination
+#: along the order the plan carries to the worker.
+CYCLE5_ATOMS = [
+    {"relation": relation, "attributes": [f"a{i + 1}", f"a{(i + 1) % 5 + 1}"]}
+    for i, relation in enumerate(("R1", "R3", "R2", "R1", "R3"))
+]
 
 #: ``(label, request minus its database, expected route)``: every route
-#: and value mode, and a triangle aggregate under each semiring.
+#: and value mode, a triangle aggregate under each semiring, and 5-cycle
+#: value modes.
 REQUESTS = [
     ("triangle-enumerate", {"atoms": TRIANGLE_ATOMS}, "wcoj"),
     ("triangle-boolean", {"atoms": TRIANGLE_ATOMS, "mode": "boolean"}, "wcoj"),
@@ -153,6 +160,7 @@ REQUESTS = [
     ("path-enumerate", {"atoms": PATH_ATOMS}, "factorized"),
     ("path-project", {"atoms": PATH_ATOMS, "free": ["a1", "a3"]}, "yannakakis"),
     ("path-count", {"atoms": PATH_ATOMS, "mode": "count"}, "yannakakis"),
+    ("cycle5-count", {"atoms": CYCLE5_ATOMS, "mode": "count"}, "wcoj"),
 ] + [
     (
         f"triangle-aggregate-{name}",
@@ -160,6 +168,13 @@ REQUESTS = [
         "wcoj",
     )
     for name in ("boolean", "counting", "minplus", "provenance")
+] + [
+    (
+        f"cycle5-aggregate-{name}",
+        {"atoms": CYCLE5_ATOMS, "mode": "aggregate", "semiring": name},
+        "wcoj",
+    )
+    for name in ("minplus", "provenance")
 ]
 
 #: Distinct seeds give distinct content, hence distinct fingerprints,
@@ -253,6 +268,8 @@ def _traffic(backend: str, workers: int, catalog: dict, expected: dict):
                 body = call("POST", "/query", dict(request, database=name))
                 where = f"workers={workers} {name} {label} repeat={repeat}"
                 assert body["route"] == route, where
+                if label.startswith("cycle5"):
+                    assert "variable elimination" in body["reason"], where
                 assert body["ops"] > 0, where
                 assert body["plan_cache"]["hit"] is repeat, where
                 answer = {f: body[f] for f in ANSWER_FIELDS if f in body}

@@ -6,6 +6,7 @@ from repro.errors import InvalidInstanceError
 from repro.graphs.graph import Graph
 from repro.treewidth.heuristics import (
     decomposition_from_elimination_order,
+    elimination_width,
     min_degree_order,
     min_fill_order,
     treewidth_min_degree,
@@ -30,7 +31,56 @@ def grid_graph(rows: int, cols: int) -> Graph:
     return g
 
 
+def _fill_count(graph: Graph, v) -> int:
+    nbrs = list(graph.neighbors(v))
+    return sum(
+        1
+        for i in range(len(nbrs))
+        for j in range(i + 1, len(nbrs))
+        if not graph.has_edge(nbrs[i], nbrs[j])
+    )
+
+
+def _rescan_order(graph: Graph, score) -> list:
+    """The reference greedy order: rescan every live vertex with ``min``
+    at each step, so ``(score, repr)`` ties break by insertion order."""
+    work = graph.copy()
+    order = []
+    while work.num_vertices:
+        v = min(work.vertices, key=lambda u: (score(work, u), repr(u)))
+        nbrs = list(work.neighbors(v))
+        for i, a in enumerate(nbrs):
+            for b in nbrs[i + 1:]:
+                work.add_edge(a, b)
+        work.remove_vertex(v)
+        order.append(v)
+    return order
+
+
+class _SameRepr:
+    """Vertices whose reprs tie: only insertion order tells them apart."""
+
+    def __repr__(self) -> str:
+        return "v"
+
+
 class TestOrders:
+    def test_heap_orders_equal_the_rescanning_reference(self, rng):
+        for trial in range(200):
+            n = rng.randrange(0, 12)
+            labels = [_SameRepr() for _ in range(n)] if trial % 5 == 0 else None
+            if labels is None:
+                labels = [rng.choice([i, str(i), f"x{i}"]) for i in range(n)]
+                rng.shuffle(labels)
+            g = make_random_graph(n, rng.random(), rng) if n else Graph()
+            relabeled = Graph(vertices=labels)
+            for u, v in g.edges():
+                relabeled.add_edge(labels[u], labels[v])
+            assert min_fill_order(relabeled) == _rescan_order(relabeled, _fill_count)
+            assert min_degree_order(relabeled) == _rescan_order(
+                relabeled, Graph.degree
+            )
+
     def test_orders_are_permutations(self, rng):
         g = make_random_graph(8, 0.4, rng)
         for order_fn in (min_degree_order, min_fill_order):
@@ -40,6 +90,20 @@ class TestOrders:
     def test_empty_graph(self):
         assert min_degree_order(Graph()) == []
         assert min_fill_order(Graph()) == []
+
+
+class TestEliminationWidth:
+    def test_width_equals_the_decomposition_width(self, rng):
+        for _ in range(20):
+            g = make_random_graph(rng.randrange(1, 10), 0.4, rng)
+            order = list(g.vertices)
+            rng.shuffle(order)
+            width = decomposition_from_elimination_order(g, order).width
+            assert elimination_width(g, order) == width
+
+    def test_cycle_and_empty_graph(self):
+        assert elimination_width(cycle_graph(7), list(range(7))) == 2
+        assert elimination_width(Graph(), []) == -1
 
 
 class TestDecompositionFromOrder:
