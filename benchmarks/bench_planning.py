@@ -20,6 +20,16 @@ Three families, on the columnar backend:
   computes the min-fill elimination order the plan carries — a
   rescanning min-fill order grows roughly as the square here.
 
+One more family times ``/solve``'s engine, :func:`repro.csp.solver.solve`
+(``auto``: min-fill, then Freuder's DP over the nice decomposition and
+its traceback), on 3-colourings of paths and of 2×(n/2) ladders with
+n = 100…1,600 variables: primal widths 1 and 2, degrees at most 3.
+Every witness is checked with ``is_solution`` and a path's op count
+must be 15n − 9. A decomposition, DP or traceback that recursed per
+tree level would fail here at 800 variables. Partial 2-trees
+(``bounded_treewidth_csp``) are left out: they grow high-degree
+vertices, on which the min-fill order's cost dominates.
+
 Sizes, repeats and the bound are fixed here; the bench reads no
 environment settings. Each time is the best of :data:`REPEATS` calls,
 after a warm-up call that builds the per-relation indexes.
@@ -30,6 +40,13 @@ import random
 import statistics
 import time
 
+import pytest
+
+from repro.counting import CostCounter
+from repro.csp.instance import CSPInstance
+from repro.csp.solver import solve
+from repro.graphs.graph import Graph
+from repro.reductions.sat_to_coloring import coloring_as_csp
 from repro.relational.database import Database
 from repro.relational.query import JoinQuery
 from repro.relational.relation import Relation
@@ -50,6 +67,18 @@ def _path_database(atoms: int, rng: random.Random) -> Database:
             edges.add((rng.randrange(DOMAIN), rng.randrange(DOMAIN)))
         relations.append(Relation(f"R{i + 1}", ("x", "y"), sorted(edges)))
     return Database(relations).with_backend("columnar")
+
+
+def _path_colouring(n: int) -> CSPInstance:
+    return coloring_as_csp(Graph(edges=[(f"x{i}", f"x{i + 1}") for i in range(n - 1)]))
+
+
+def _ladder_colouring(n: int) -> CSPInstance:
+    """The 2×(n/2) ladder: two rails ``a``, ``b`` and a rung per column."""
+    columns = range(n // 2)
+    rungs = [(f"a{i}", f"b{i}") for i in columns]
+    rails = [(f"{rail}{i}", f"{rail}{i + 1}") for rail in "ab" for i in columns[:-1]]
+    return coloring_as_csp(Graph(edges=rungs + rails))
 
 
 def _best_of(fn) -> float:
@@ -120,4 +149,25 @@ def test_cycle_count_planning_is_linear():
     assert exponent <= MAX_EXPONENT, (
         f"decide_route(mode='count') grows as n^{exponent:.2f} over "
         f"{SIZES}-atom cycles"
+    )
+
+
+@pytest.mark.parametrize(
+    "family, build", [("path", _path_colouring), ("ladder", _ladder_colouring)]
+)
+def test_csp_solve_is_linear(family, build):
+    seconds = []
+    for n in SIZES:
+        instance = build(n)
+        counter = CostCounter()
+        witness = solve(instance, counter=counter)
+        assert witness is not None and instance.is_solution(witness)
+        if family == "path":
+            assert counter.total == 15 * n - 9
+        seconds.append(_best_of(lambda: solve(instance)))
+        print(f"{family} n={n}: solve {seconds[-1] * 1e3:.1f} ms, ops {counter.total}")
+    exponent = _exponent(SIZES, seconds)
+    print(f"{family} solve exponent {exponent:.2f} (bound {MAX_EXPONENT})")
+    assert exponent <= MAX_EXPONENT, (
+        f"solve grows as n^{exponent:.2f} over {SIZES}-variable {family} 3-colourings"
     )

@@ -114,13 +114,19 @@ class CSPInstance:
             raise InvalidInstanceError("duplicate variables in V")
         self.domain: frozenset[Value] = frozenset(domain)
         self.constraints: tuple[Constraint, ...] = tuple(constraints)
-        var_set = set(self.variables)
+        # Each variable's constraints, in instance order, indexed once.
+        self._constraints_of: dict[Variable, list[Constraint]] = {
+            v: [] for v in self.variables
+        }
         for c in self.constraints:
-            unknown = c.variables() - var_set
+            scope = c.variables()
+            unknown = scope - self._constraints_of.keys()
             if unknown:
                 raise InvalidInstanceError(
                     f"constraint scope mentions unknown variables {sorted(map(repr, unknown))}"
                 )
+            for v in scope:
+                self._constraints_of[v].append(c)
 
     @property
     def num_variables(self) -> int:
@@ -182,8 +188,9 @@ class CSPInstance:
         return CSPInstance(kept_vars, self.domain, kept_constraints)
 
     def constraints_on(self, variable: Variable) -> list[Constraint]:
-        """All constraints whose scope contains ``variable``."""
-        return [c for c in self.constraints if variable in c.variables()]
+        """All constraints whose scope contains ``variable``, in instance
+        order, from the index the constructor builds."""
+        return list(self._constraints_of.get(variable, ()))
 
     def __repr__(self) -> str:
         return (

@@ -106,14 +106,20 @@ def query_from_payload(payload: dict) -> JoinQuery:
 def csp_from_payload(payload: dict) -> CSPInstance:
     """Build a :class:`CSPInstance` from a ``/solve`` request payload.
 
-    Expected shape: a non-empty ``domain`` list, a non-empty
-    ``constraints`` list of ``{"scope": [...], "allowed": [[...]]}``
-    objects, and an optional explicit ``variables`` list (defaults to
-    the scope variables in first-occurrence order).
+    Expected shape: a non-empty ``domain`` list without repeats, a
+    non-empty ``constraints`` list of ``{"scope": [...], "allowed":
+    [[...]]}`` objects, and an optional explicit ``variables`` list
+    (defaults to the scope variables in first-occurrence order).
+    Python equates ``true`` with ``1``, so those two are a repeat too.
     """
     domain = payload.get("domain")
     if not isinstance(domain, list) or not domain:
         raise SchemaError("solve payload needs a non-empty 'domain' list")
+    values: set = set()
+    for value in domain:
+        if value in values:
+            raise SchemaError(f"solve 'domain' repeats the value {value!r}")
+        values.add(value)
     constraints_payload = payload.get("constraints")
     if not isinstance(constraints_payload, list) or not constraints_payload:
         raise SchemaError("solve payload needs a non-empty 'constraints' list")

@@ -56,26 +56,43 @@ class TreeDecomposition:
         return self.bags[node]
 
     def validate(self, graph: Graph) -> None:
-        """Raise :class:`InvalidDecompositionError` on any axiom breach."""
+        """Raise :class:`InvalidDecompositionError` on any axiom breach.
+
+        The checks run in this order and the first breach is raised:
+        the tree is a tree, every vertex is covered, every edge lies in
+        some bag (the first uncovered edge of ``graph.edges()``), and
+        every vertex's occurrence set is connected (the first
+        disconnected vertex of ``graph.vertices``). The tree induces a
+        forest on a vertex's occurrence set, which is connected iff it
+        has |occ| − 1 tree edges; one pass over the tree edges counts
+        them for every vertex at once.
+
+        Complexity: O(|V(G)| + Σ_t |B_t| + Σ_{uv ∈ E(G)} min(|occ(u)|,
+            |occ(v)|)), with occ(v) the bags holding v.
+        """
         if not self._is_tree():
             raise InvalidDecompositionError("decomposition's tree is not a tree")
 
-        covered: set[Vertex] = set()
-        for bag in self.bags.values():
-            covered |= bag
-        missing = set(graph.vertices) - covered
+        occurrences: dict[Vertex, set[NodeId]] = {}
+        for node, bag in self.bags.items():
+            for v in bag:
+                occurrences.setdefault(v, set()).add(node)
+        missing = [v for v in graph.vertices if v not in occurrences]
         if missing:
             raise InvalidDecompositionError(
                 f"vertices not covered by any bag: {sorted(map(repr, missing))}"
             )
 
         for u, v in graph.edges():
-            if not any({u, v} <= bag for bag in self.bags.values()):
+            if occurrences[u].isdisjoint(occurrences[v]):
                 raise InvalidDecompositionError(f"edge ({u!r}, {v!r}) is in no bag")
 
+        spanned = dict.fromkeys(occurrences, 0)
+        for a, b in self.tree.edges():
+            for v in self.bags[a] & self.bags[b]:
+                spanned[v] += 1
         for v in graph.vertices:
-            occ = [node for node, bag in self.bags.items() if v in bag]
-            if not self._occurrences_connected(occ):
+            if spanned[v] != len(occurrences[v]) - 1:
                 raise InvalidDecompositionError(
                     f"occurrence set of vertex {v!r} is not connected in the tree"
                 )
@@ -95,20 +112,6 @@ class TreeDecomposition:
         if self.tree.num_edges != n - 1:
             return False
         return len(self.tree.connected_components()) == 1
-
-    def _occurrences_connected(self, occ: list[NodeId]) -> bool:
-        if len(occ) <= 1:
-            return True
-        occ_set = set(occ)
-        stack = [occ[0]]
-        seen = {occ[0]}
-        while stack:
-            node = stack.pop()
-            for nbr in self.tree.neighbors(node):
-                if nbr in occ_set and nbr not in seen:
-                    seen.add(nbr)
-                    stack.append(nbr)
-        return seen == occ_set
 
     def rooted_children(self, root: NodeId) -> dict[NodeId, list[NodeId]]:
         """Orient the tree away from ``root``; children per node."""

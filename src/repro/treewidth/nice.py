@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from ..errors import InvalidDecompositionError
 from ..graphs.graph import Vertex
-from .decomposition import TreeDecomposition
+from .decomposition import NodeId, TreeDecomposition
 
 LEAF = "leaf"
 INTRODUCE = "introduce"
@@ -114,23 +114,33 @@ def make_nice(decomposition: TreeDecomposition) -> NiceTreeDecomposition:
             idx = emit(NiceNode(INTRODUCE, bag, [idx], vertex=v))
         return idx
 
-    def build(node_id) -> int:
-        bag = decomposition.bag(node_id)
+    # Post-order over the rooted tree with an explicit stack, emitting
+    # what a recursive build would: each child subtree, morphed up to
+    # its parent's bag as soon as it is done, then the parent's
+    # left-deep chain of joins over its prepared children (a leaf bag
+    # is introduced from empty instead). A frame's ``prepared`` list
+    # holds one entry per finished child, so its length is the index
+    # of the next child to build.
+    stack: list[tuple[NodeId, list[int]]] = [(root_id, [])]
+    while True:
+        node_id, prepared = stack[-1]
         child_ids = children_map[node_id]
-        if not child_ids:
-            return chain_from_empty(bag)
-        # Each child subtree is morphed up to this node's bag, then the
-        # results are combined with a left-deep chain of joins.
-        prepared = [
-            morph(build(child), decomposition.bag(child), bag)
-            for child in child_ids
-        ]
-        idx = prepared[0]
-        for other in prepared[1:]:
-            idx = emit(NiceNode(JOIN, bag, [idx, other]))
-        return idx
+        if len(prepared) < len(child_ids):
+            stack.append((child_ids[len(prepared)], []))
+            continue
+        stack.pop()
+        bag = decomposition.bag(node_id)
+        if child_ids:
+            top = prepared[0]
+            for other in prepared[1:]:
+                top = emit(NiceNode(JOIN, bag, [top, other]))
+        else:
+            top = chain_from_empty(bag)
+        if not stack:
+            break
+        parent_id, parent_prepared = stack[-1]
+        parent_prepared.append(morph(top, bag, decomposition.bag(parent_id)))
 
-    top = build(root_id)
     # Finish by forgetting the root bag down to empty, so DP tables at
     # the root always aggregate over a single empty-bag entry.
     top = morph(top, decomposition.bag(root_id), frozenset())

@@ -5,11 +5,24 @@ from itertools import product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.counting import CostCounter
 from repro.csp.backtracking import solve_backtracking
 from repro.csp.bruteforce import count_bruteforce, solve_bruteforce
 from repro.csp.consistency import propagate_domains
 from repro.csp.instance import Constraint, CSPInstance
-from repro.csp.treewidth_dp import count_with_treewidth, solve_with_treewidth
+from repro.csp.treewidth_dp import (
+    _run_dp,
+    count_with_treewidth,
+    solve_with_treewidth,
+)
+from repro.observability.metrics import MetricsRegistry, activate_metrics
+from repro.treewidth.heuristics import treewidth_min_degree, treewidth_min_fill
+
+from ..csp.freuder_reference import (
+    reference_count,
+    reference_run_dp,
+    reference_solve,
+)
 
 
 @st.composite
@@ -56,6 +69,79 @@ class TestSolverAgreement:
     def test_count_zero_iff_unsat(self, inst):
         count = count_with_treewidth(inst)
         assert (count == 0) == (solve_bruteforce(inst) is None)
+
+
+#: Variable names: ints and strings whose reprs are pairwise distinct
+#: and sort differently from the ints' natural order ('10' < '9').
+NAMES = [0, 1, 2, 9, 10, 11, "1", "a", "b10", "b9", "Z"]
+
+#: Domain values; tuples may also hold :data:`OUTSIDE`, no domain value.
+VALUES = [0, 1, 2, 10]
+OUTSIDE = 7
+
+
+@st.composite
+def dp_instances(draw):
+    """CSPs for comparing Freuder's DP against its reference: unary,
+    binary and ternary constraints, repeated scope variables, isolated
+    variables, empty relations and empty domains, and tuples holding
+    values outside the domain."""
+    variables = draw(st.lists(st.sampled_from(NAMES), max_size=6, unique=True))
+    domain = draw(st.lists(st.sampled_from(VALUES), max_size=3, unique=True))
+    constraints = []
+    if variables:
+        for __ in range(draw(st.integers(0, 5))):
+            arity = draw(st.integers(1, 3))
+            scope = draw(
+                st.lists(st.sampled_from(variables), min_size=arity, max_size=arity)
+            )
+            row = st.tuples(*[st.sampled_from(domain + [OUTSIDE])] * arity)
+            relation = draw(st.lists(row, max_size=12))
+            constraints.append(Constraint(scope, relation))
+    return CSPInstance(variables, domain, constraints)
+
+
+def _tables_as_pairs(orders, tables):
+    """The positional tables spelled as the reference spells them:
+    tuples of (variable, value) pairs, in insertion order."""
+    return [
+        [(tuple(zip(order, key)), ways) for key, ways in table.items()]
+        for order, table in zip(orders, tables)
+    ]
+
+
+class TestFreuderDPMatchesReference:
+    @given(dp_instances(), st.sampled_from([None, "min_fill", "min_degree"]))
+    @settings(max_examples=200, deadline=None)
+    def test_same_witness_count_charges_metrics_and_tables(self, inst, heuristic):
+        decomposition = None
+        if heuristic == "min_fill":
+            __, decomposition = treewidth_min_fill(inst.primal_graph())
+        elif heuristic == "min_degree":
+            __, decomposition = treewidth_min_degree(inst.primal_graph())
+        for run, reference in (
+            (solve_with_treewidth, reference_solve),
+            (count_with_treewidth, reference_count),
+        ):
+            outcomes = []
+            for fn in (run, reference):
+                counter, registry = CostCounter(), MetricsRegistry()
+                with activate_metrics(registry):
+                    result = fn(inst, decomposition, counter)
+                if isinstance(result, dict):
+                    result = list(result.items())
+                outcomes.append((result, counter.total, registry.to_payload()))
+            assert outcomes[0] == outcomes[1]
+
+        dp = _run_dp(inst, decomposition, None)
+        ref_tables, __ = reference_run_dp(inst, decomposition, None)
+        if dp is None:
+            assert ref_tables is None
+        else:
+            __, orders, tables = dp
+            assert _tables_as_pairs(orders, tables) == [
+                list(table.items()) for table in ref_tables
+            ]
 
 
 class TestGACProperties:

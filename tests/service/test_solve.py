@@ -4,6 +4,7 @@ import asyncio
 
 from repro.service import QueryService
 from repro.service.client import ServiceClient
+from repro.service.server import csp_from_payload
 
 #: x≠y over {0,1} as an allowed-tuples constraint.
 NEQ = [[0, 1], [1, 0]]
@@ -18,6 +19,28 @@ PATH_CONSTRAINTS = [
 TRIANGLE_CONSTRAINTS = PATH_CONSTRAINTS + [
     {"scope": ["z", "x"], "allowed": NEQ},
 ]
+
+
+#: x≠y over three colours.
+NEQ3 = [[a, b] for a in range(3) for b in range(3) if a != b]
+
+
+def path_colouring(n: int) -> list[dict]:
+    """3-colouring of the path x0—x1—…—x(n-1): primal treewidth 1."""
+    return [{"scope": [f"x{i}", f"x{i + 1}"], "allowed": NEQ3} for i in range(n - 1)]
+
+
+def ladder_colouring(rungs: int) -> list[dict]:
+    """3-colouring of the 2×rungs ladder: primal treewidth 2."""
+    constraints = [
+        {"scope": [f"a{i}", f"b{i}"], "allowed": NEQ3} for i in range(rungs)
+    ]
+    for rail in "ab":
+        constraints += [
+            {"scope": [f"{rail}{i}", f"{rail}{i + 1}"], "allowed": NEQ3}
+            for i in range(rungs - 1)
+        ]
+    return constraints
 
 
 def run_service(test_coroutine, **service_kwargs):
@@ -90,6 +113,23 @@ class TestSolveEndpoint:
                 "POST", "/solve", {"constraints": PATH_CONSTRAINTS}
             )
             assert status == 400 and "domain" in payload["error"]
+            # A set would merge repeats: true equals 1, so x = true
+            # would answer a value the client never allowed.
+            status, payload = await client.request(
+                "POST",
+                "/solve",
+                {
+                    "domain": [True, 1, 0],
+                    "constraints": [{"scope": ["x"], "allowed": [[1]]}],
+                },
+            )
+            assert (status, payload["error"]) == (
+                400, "solve 'domain' repeats the value 1"
+            )
+            status, payload = await client.solve([0, 0, 1], PATH_CONSTRAINTS)
+            assert (status, payload["error"]) == (
+                400, "solve 'domain' repeats the value 0"
+            )
             return None
 
         run_service(body)
@@ -132,3 +172,31 @@ class TestSolveEndpoint:
             return None
 
         run_service(body, slow_ms=0.0)
+
+
+class TestDeepInstances:
+    def test_long_paths_and_ladders_answer_with_a_solution(self):
+        """Decomposition, DP and traceback hold no frame per tree level,
+        so a long path or ladder answers instead of a RecursionError."""
+        cases = [
+            (path_colouring(600), "auto"),
+            (path_colouring(600), "treewidth"),
+            (path_colouring(2000), "auto"),
+            (path_colouring(2000), "treewidth"),
+            (ladder_colouring(300), "auto"),
+        ]
+
+        async def body(service, client):
+            for constraints, method in cases:
+                status, payload = await client.solve(
+                    [0, 1, 2], constraints, method=method
+                )
+                assert status == 200 and payload["satisfiable"] is True
+                instance = csp_from_payload(
+                    {"domain": [0, 1, 2], "constraints": constraints}
+                )
+                assignment = {var: value for var, value in payload["assignment"]}
+                assert instance.is_solution(assignment)
+            return None
+
+        run_service(body)

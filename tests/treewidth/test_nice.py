@@ -19,7 +19,80 @@ from repro.treewidth.nice import (
 from ..conftest import make_random_graph
 
 
+def _recursive_make_nice(decomposition):
+    """The recursive construction :func:`make_nice` replaced: one Python
+    frame per tree level."""
+    if not decomposition.bags:
+        return [NiceNode(LEAF, frozenset())], 0
+    root_id = decomposition.nodes[0]
+    children_map = decomposition.rooted_children(root_id)
+    nodes = []
+
+    def emit(node):
+        nodes.append(node)
+        return len(nodes) - 1
+
+    def chain_from_empty(target):
+        idx = emit(NiceNode(LEAF, frozenset()))
+        bag = frozenset()
+        for v in sorted(target, key=repr):
+            bag = bag | {v}
+            idx = emit(NiceNode(INTRODUCE, bag, [idx], vertex=v))
+        return idx
+
+    def morph(idx, source, target):
+        bag = source
+        for v in sorted(source - target, key=repr):
+            bag = bag - {v}
+            idx = emit(NiceNode(FORGET, bag, [idx], vertex=v))
+        for v in sorted(target - source, key=repr):
+            bag = bag | {v}
+            idx = emit(NiceNode(INTRODUCE, bag, [idx], vertex=v))
+        return idx
+
+    def build(node_id):
+        bag = decomposition.bag(node_id)
+        child_ids = children_map[node_id]
+        if not child_ids:
+            return chain_from_empty(bag)
+        prepared = [
+            morph(build(child), decomposition.bag(child), bag)
+            for child in child_ids
+        ]
+        idx = prepared[0]
+        for other in prepared[1:]:
+            idx = emit(NiceNode(JOIN, bag, [idx, other]))
+        return idx
+
+    top = morph(build(root_id), decomposition.bag(root_id), frozenset())
+    return nodes, top
+
+
 class TestMakeNice:
+    def test_same_nodes_as_the_recursive_construction(self, rng):
+        """Random trees with random bags, some bags empty or repeated,
+        and node ids that are not in tree order."""
+        for __ in range(300):
+            n = rng.randrange(1, 14)
+            ids = rng.sample(range(100), n)
+            edges = [(ids[i], ids[rng.randrange(i)]) for i in range(1, n)]
+            bags = {
+                node: rng.sample(range(8), rng.randrange(4)) for node in ids
+            }
+            dec = TreeDecomposition(bags=bags, tree_edges=edges)
+            nice = make_nice(dec)
+            assert (nice.nodes, nice.root) == _recursive_make_nice(dec)
+
+    def test_deep_tree_needs_no_recursion(self):
+        n = 5000
+        dec = TreeDecomposition(
+            bags={i: [i, i + 1] for i in range(n)},
+            tree_edges=[(i, i + 1) for i in range(n - 1)],
+        )
+        nice = make_nice(dec)
+        assert nice.width == 1
+        assert sum(node.kind == FORGET for node in nice.nodes) == n + 1
+
     def test_empty(self):
         nice = make_nice(TreeDecomposition(bags={}))
         assert nice.nodes[nice.root].kind == LEAF
