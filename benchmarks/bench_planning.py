@@ -10,7 +10,7 @@ atoms. An all-pairs GYO grows roughly as the cube here; this bench
 fails if the fitted log-log exponent of the time over the atom count
 exceeds :data:`MAX_EXPONENT`.
 
-Three families, on the columnar backend:
+Four families, on the columnar backend unless stated:
 
 * boolean path queries ``R_1(a_0, a_1), …, R_n(a_{n-1}, a_n)``, one
   100-edge relation per atom: ``decide_route`` + ``run_route``;
@@ -18,7 +18,13 @@ Three families, on the columnar backend:
   Boolean evaluation is the Generic Join, whose cost is the data's);
 * the same cycles in ``count`` mode: ``decide_route`` alone, which also
   computes the min-fill elimination order the plan carries — a
-  rescanning min-fill order grows roughly as the square here.
+  rescanning min-fill order grows roughly as the square here;
+* Generic Join on the same cycles, ``boolean`` and ``enumerate`` with
+  ``free=[a0]``, on both backends: ``decide_route`` + ``run_route``
+  with every relation a directed 4-cycle, so each query has exactly
+  four answers and exact op counts of 3n + 1 and 12n + 4. A walk that
+  recursed per attribute would fail here from 400 atoms, and a set-up
+  that scanned every atom per attribute would grow as the square.
 
 One more family times ``/solve``'s engine, :func:`repro.csp.solver.solve`
 (``auto``: min-fill, then Freuder's DP over the nice decomposition and
@@ -148,6 +154,46 @@ def test_cycle_count_planning_is_linear():
     print(f"cycle count decide exponent {exponent:.2f} (bound {MAX_EXPONENT})")
     assert exponent <= MAX_EXPONENT, (
         f"decide_route(mode='count') grows as n^{exponent:.2f} over "
+        f"{SIZES}-atom cycles"
+    )
+
+
+#: A directed 4-cycle: a cycle query of length n = 0 mod 4 over it has
+#: exactly four answers, one per start vertex.
+RING = [(0, 1), (1, 2), (2, 3), (3, 0)]
+
+
+@pytest.mark.parametrize("backend", ["naive", "columnar"])
+@pytest.mark.parametrize(
+    "mode, free, ops, answer",
+    [
+        ("boolean", None, lambda n: 3 * n + 1, True),
+        ("enumerate", ("a0",), lambda n: 12 * n + 4, [(0,), (1,), (2,), (3,)]),
+    ],
+)
+def test_cycle_generic_join_is_linear(backend, mode, free, ops, answer):
+    seconds = []
+    for n in SIZES:
+        query = JoinQuery.cycle(n)
+        database = Database(
+            [Relation(f"R{i + 1}", ("x", "y"), RING) for i in range(n)]
+        ).with_backend(backend)
+        warm = run_route(query, database, decide_route(query, free, mode), free=free)
+        assert warm.decision.route == "wcoj" and warm.ops == ops(n)
+        if mode == "boolean":
+            assert warm.nonempty is answer
+        else:
+            assert sorted(warm.relation.tuples) == answer
+
+        def plan_and_run():
+            run_route(query, database, decide_route(query, free, mode), free=free)
+
+        seconds.append(_best_of(plan_and_run))
+        print(f"cycle n={n} {backend} {mode}: decide+run {seconds[-1] * 1e3:.1f} ms")
+    exponent = _exponent(SIZES, seconds)
+    print(f"cycle {backend} {mode} exponent {exponent:.2f} (bound {MAX_EXPONENT})")
+    assert exponent <= MAX_EXPONENT, (
+        f"Generic Join ({backend}, {mode}) grows as n^{exponent:.2f} over "
         f"{SIZES}-atom cycles"
     )
 

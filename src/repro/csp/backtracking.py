@@ -96,45 +96,67 @@ def solve_backtracking(
         return removals
 
     def backtrack() -> dict[Variable, Value] | None:
+        """Depth-first search with an explicit stack, one frame per
+        assigned variable plus the one being tried: ``[variable, its
+        values in order, next value, children expanded, undo]``, where
+        ``undo`` restores what the child in progress changed (MAC: the
+        domains before propagation; forward checking: the removals) and
+        is ``None`` between children."""
         nonlocal domains
-        if len(assignment) == instance.num_variables:
-            return dict(assignment)
-        if node_counter is not None:
-            node_counter.inc()
-        children_expanded = 0
-        variable = pick_variable()
-        for value in sorted(domains[variable], key=repr):
-            charge(counter)
-            if not consistent(variable, value):
-                continue
-            children_expanded += 1
-            assignment[variable] = value
-            if maintain_gac:
-                snapshot = domains
-                pinned = {v: set(vals) for v, vals in domains.items()}
-                pinned[variable] = {value}
-                propagated = enforce_gac(instance, pinned, counter)
-                if propagated is not None:
-                    domains = propagated
-                    found = backtrack()
-                    if found is not None:
-                        return found
-                domains = snapshot
-            else:
-                removals: list[tuple[Variable, Value]] | None = []
-                if use_forward_checking:
-                    removals = forward_check(variable)
-                if removals is not None:
-                    found = backtrack()
-                    if found is not None:
-                        return found
-                    for var, val in removals:
+        stack: list[list] = []
+        descend = True
+        while True:
+            if descend:
+                if len(assignment) == instance.num_variables:
+                    return dict(assignment)
+                if node_counter is not None:
+                    node_counter.inc()
+                variable = pick_variable()
+                stack.append([variable, sorted(domains[variable], key=repr), 0, 0, None])
+            frame = stack[-1]
+            variable, values, index, children_expanded, undo = frame
+            if undo is not None:
+                # The child in progress found nothing: take it back.
+                if maintain_gac:
+                    domains = undo
+                else:
+                    for var, val in undo:
                         domains[var].add(val)
-            del assignment[variable]
-        if branch_hist is not None:
-            branch_hist.observe(children_expanded)
-            backtrack_hist.observe(len(assignment))
-        return None
+                del assignment[variable]
+                undo = None
+            descend = False
+            while index < len(values):
+                value = values[index]
+                index += 1
+                charge(counter)
+                if not consistent(variable, value):
+                    continue
+                children_expanded += 1
+                assignment[variable] = value
+                if maintain_gac:
+                    snapshot = domains
+                    pinned = {v: set(vals) for v, vals in domains.items()}
+                    pinned[variable] = {value}
+                    propagated = enforce_gac(instance, pinned, counter)
+                    if propagated is not None:
+                        domains, undo, descend = propagated, snapshot, True
+                        break
+                else:
+                    removals: list[tuple[Variable, Value]] | None = []
+                    if use_forward_checking:
+                        removals = forward_check(variable)
+                    if removals is not None:
+                        undo, descend = removals, True
+                        break
+                del assignment[variable]
+            frame[2:] = index, children_expanded, undo
+            if not descend:
+                if branch_hist is not None:
+                    branch_hist.observe(children_expanded)
+                    backtrack_hist.observe(len(assignment))
+                stack.pop()
+                if not stack:
+                    return None
 
     with span(
         "solve_backtracking",

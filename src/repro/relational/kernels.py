@@ -15,9 +15,16 @@ probe. This module is the alternative *representation* selected by
   atom's columns lex-sorted in the global attribute order with
   per-level run offsets, so a trie node is an O(1) ``(lo, hi)`` run
   range and its children are a sorted array slice;
-* :func:`generic_join_columnar` runs Generic Join over those tries
-  with a leapfrog/galloping k-way intersection (binary-search seeks
-  from the smallest-set leader, batched through numpy for wide nodes);
+* :func:`walk_generic_join` is Generic Join's one traversal on both
+  backends: an explicit stack of frames, one per bound attribute, over
+  each backend's two node steps, a whole-node intersection and a
+  one-match-at-a-time seek for first-witness search — the naive hash
+  tries probe the smallest child dict's values in the others, the
+  sorted tries run a leapfrog/galloping k-way intersection
+  (binary-search seeks from the smallest-set leader, batched through
+  numpy for wide nodes); :func:`generic_join_columnar`,
+  :func:`aggregate_columnar` and :func:`boolean_generic_join_columnar`
+  are its three sinks, on either backend;
 * :func:`pairwise_join` / :func:`semijoin` are single-pass vectorized
   equivalents of the hash-join and semijoin kernels; views are
   duplicate-free throughout, so a join returns its gathered rows as
@@ -37,11 +44,12 @@ of the smallest set, per trie-edge descent, per hashed tuple, per
 joined pair, per answer — computed in bulk from run widths rather than
 paid per Python iteration. Full-evaluation op totals are therefore
 *backend-invariant* (asserted by the property tests); only wall-clock
-changes. A first-witness walk charges one unit per candidate it
-examined, per descent and per answer, and stops at its first answer.
-Where that answer lies depends on the traversal order, so first-witness
-totals agree across backends only when the answer is empty, and then
-they equal the full walk's.
+changes. Generic Join's one walk counts a candidate when it reaches it
+in depth-first order, on both backends, so a first-witness walk, which
+stops at its first answer, has paid for what it examined and nothing
+else. Where that answer lies depends on the traversal order, so
+first-witness totals agree across backends only when the answer is
+empty, and then they equal the full walk's.
 """
 
 from __future__ import annotations
@@ -487,318 +495,342 @@ def to_relation(view: TableView, interner: Interner, name: str) -> Relation:
 # -- the WCOJ kernel ---------------------------------------------------
 
 
-class _TrieCursor:
-    """One atom's position in its sorted trie during Generic Join."""
+def _hash_trie_steps(query, database, relevant, positions):
+    """The naive backend's roots and node steps over dict-of-dict tries.
 
-    __slots__ = ("trie", "level", "lo", "hi")
+    A node is a dict: its keys are the node's candidates, its values the
+    child nodes one trie edge down. Both steps iterate the smallest dict
+    in its own order and probe every value in the other atoms' dicts:
+    ``step`` intersects the whole node, ``first`` yields its matches one
+    at a time.
+    """
+    roots = [
+        database.kernels.hash_trie(database.relation(atom.relation_name), cols)
+        for atom, cols in zip(query.atoms, positions)
+    ]
 
-    def __init__(self, trie: SortedTrieIndex) -> None:
-        self.trie = trie
-        self.level = 0
-        self.lo = 0
-        self.hi = trie.nroot
+    def step(pos: int, nodes: list, leaf: bool):
+        here = [nodes[i] for i in relevant[pos]]
+        smallest = min(here, key=len)
+        # A node that is the smallest one holds every candidate.
+        rest = [node for node in here if node is not smallest]
+        offsets, values = [], []
+        for offset, value in enumerate(smallest):
+            if all(value in node for node in rest):
+                offsets.append(offset)
+                values.append(value)
+        children = None if leaf else [[node[v] for v in values] for node in here]
+        return len(smallest), offsets, values, children
+
+    def first(pos: int, nodes: list):
+        here = [nodes[i] for i in relevant[pos]]
+        smallest = min(here, key=len)
+        rest = [node for node in here if node is not smallest]
+        return len(smallest), _probe_matches(smallest, rest, here)
+
+    return roots, step, first
 
 
-def _descend(cur: _TrieCursor, run: int) -> tuple[int, int, int]:
-    """Move ``cur`` into child run ``run``; returns the saved state."""
-    saved = (cur.level, cur.lo, cur.hi)
-    trie = cur.trie
-    k = cur.level
-    if k + 1 < trie.depth:
-        cur.lo = trie.next_lo[k][run]
-        cur.hi = trie.next_hi[k][run]
-    cur.level = k + 1
-    return saved
+def _probe_matches(smallest: dict, rest: list, here: list):
+    """A hash-trie node's matches, one at a time: ``(offset, value,
+    children)`` for each key of ``smallest`` found in every dict of
+    ``rest``."""
+    for offset, value in enumerate(smallest):
+        if all(value in node for node in rest):
+            yield offset, value, [node[value] for node in here]
 
 
-def _drive_generic_join(
+def _sorted_trie_steps(query, database, relevant, positions):
+    """The columnar backend's roots and node steps over sorted-array
+    tries [61].
+
+    A node is a run id at the atom's previous trie level (``0`` at a
+    root), whose bounds select the node's candidates: a sorted slice of
+    the next level's values. A child node is the matched run's id, and
+    values are interned codes. ``step`` intersects the whole node
+    (:func:`_leapfrog`), ``first`` seeks its matches one at a time
+    (:func:`_seek_matches`); both lead with the first atom of fewest
+    candidates, so a match has the same offset in either.
+    """
+    tries = [
+        database.kernels.sorted_trie(database.relation(atom.relation_name), cols)
+        for atom, cols in zip(query.atoms, positions)
+    ]
+    # Per position, per atom containing the attribute: the trie level's
+    # values (list and array) and the run bounds a parent run id selects.
+    levels = []
+    depth = [0] * len(tries)
+    for atoms in relevant:
+        level = []
+        for i in atoms:
+            trie, k = tries[i], depth[i]
+            depth[i] = k + 1
+            bounds = (
+                ((0,), (trie.nroot,)) if k == 0 else (trie.next_lo[k - 1], trie.next_hi[k - 1])
+            )
+            level.append((trie.ulist[k], trie.uvals[k], *bounds))
+        levels.append(tuple(level))
+
+    def ranges(pos: int, nodes: list) -> tuple[list, int]:
+        # Each atom's candidate run range, and the leader: the first
+        # atom with the fewest candidates.
+        spans = [
+            (lo[nodes[i]], hi[nodes[i]])
+            for i, (_, _, lo, hi) in zip(relevant[pos], levels[pos])
+        ]
+        widths = [hi - lo for lo, hi in spans]
+        return spans, widths.index(min(widths))
+
+    def step(pos: int, nodes: list, leaf: bool):
+        level = levels[pos]
+        if len(level) == 2:
+            # Two atoms, as at every position of a binary-relation
+            # query: :func:`_leapfrog`'s scalar loop without its
+            # per-atom set-up, which costs more than the loop on the
+            # small nodes such queries are made of. Sending these nodes
+            # through ``_leapfrog`` made Generic Join 1.65x slower on
+            # perfbench's analytic and sharded queries.
+            (a_values, _, a_lo, a_hi), (b_values, _, b_lo, b_hi) = level
+            a, b = relevant[pos]
+            ra, rb = nodes[a], nodes[b]
+            lo, hi, seek, end = a_lo[ra], a_hi[ra], b_lo[rb], b_hi[rb]
+            values, other, lead = a_values, b_values, 0
+            if end - seek < hi - lo:
+                lo, hi, seek, end = seek, end, lo, hi
+                values, other, lead = b_values, a_values, 1
+            if hi - lo <= SCALAR_THRESHOLD:
+                offsets, matched, hit = [], [], []
+                for run in range(lo, hi):
+                    v = values[run]
+                    seek = bisect_left(other, v, seek, end)
+                    if seek == end:
+                        break
+                    if other[seek] == v:
+                        offsets.append(run - lo)
+                        matched.append(v)
+                        hit.append(seek)
+                if leaf:
+                    return hi - lo, offsets, matched, None
+                own = [lo + offset for offset in offsets]
+                children = (hit, own) if lead else (own, hit)
+                return hi - lo, offsets, matched, children
+        return _leapfrog(level, *ranges(pos, nodes), leaf)
+
+    def first(pos: int, nodes: list):
+        spans, lead = ranges(pos, nodes)
+        lo, hi = spans[lead]
+        return hi - lo, _seek_matches(levels[pos], spans, lead)
+
+    return [0] * len(tries), step, first
+
+
+def _leapfrog(level: tuple, ranges: list, lead: int, leaf: bool):
+    """One node's step: the leader's candidates are filtered through
+    each other atom in turn, keeping each match's offset and its run in
+    every atom. Up to :data:`SCALAR_THRESHOLD` candidates a scalar
+    leapfrog seeks each leader value by binary search, resuming from
+    the previous hit; wider nodes run the same filter through
+    ``np.searchsorted``."""
+    lo, hi = ranges[lead]
+    width = hi - lo
+    hits = []
+    if width > SCALAR_THRESHOLD:
+        matched, offsets = level[lead][1][lo:hi], np.arange(width)
+        for k, (_, u, _, _) in enumerate(level):
+            if k == lead:
+                continue
+            start, end = ranges[k]
+            u = u[start:end]
+            ix = np.searchsorted(u, matched)
+            np.minimum(ix, len(u) - 1, out=ix)
+            keep = np.flatnonzero(u[ix] == matched)
+            matched, offsets = matched[keep], offsets[keep]
+            hits = [hit[keep] for hit in hits] + [ix[keep] + start]
+        offsets, matched = offsets.tolist(), matched.tolist()
+        hits = [hit.tolist() for hit in hits]
+    else:
+        matched, offsets = level[lead][0][lo:hi], range(width)
+        for k, (ul, _, _, _) in enumerate(level):
+            if k == lead:
+                continue
+            seek, end = ranges[k]
+            kept, hit = [], []
+            for j, v in enumerate(matched):
+                seek = bisect_left(ul, v, seek, end)
+                if seek == end:
+                    break
+                if ul[seek] == v:
+                    kept.append(j)
+                    hit.append(seek)
+            if len(kept) < len(matched):
+                matched = [matched[j] for j in kept]
+                offsets = [offsets[j] for j in kept]
+                hits = [[h[j] for j in kept] for h in hits]
+            hits.append(hit)
+    if leaf:
+        return width, offsets, matched, None
+    hits.insert(lead, [lo + offset for offset in offsets])
+    return width, offsets, matched, hits
+
+
+def _seek_matches(level: tuple, ranges: list, lead: int):
+    """A sorted-trie node's matches, one at a time: ``(offset, value,
+    runs)`` for each leader value found in every other atom, ``runs``
+    its run in each atom. Leader values ascend, so each atom's seek
+    resumes from its previous hit, and the first atom exhausted ends
+    the node."""
+    lo, hi = ranges[lead]
+    values = level[lead][0]
+    seeks = [start for start, _ in ranges]
+    others = [(k, level[k][0], ranges[k][1]) for k in range(len(level)) if k != lead]
+    for run in range(lo, hi):
+        v = values[run]
+        for k, ul, end in others:
+            seek = seeks[k] = bisect_left(ul, v, seeks[k], end)
+            if seek == end:
+                return
+            if ul[seek] != v:
+                break
+        else:
+            seeks[lead] = run
+            yield run - lo, v, tuple(seeks)
+
+
+def walk_generic_join(
     query,
     database,
-    order: tuple[str, ...],
     relevant: list[list[int]],
+    positions: list[tuple[int, ...]],
     counter: CostCounter | None,
     sink,
-    span_name: str = "generic_join",
-    lazy: bool = False,
+    span_name: str,
+    first_only: bool = False,
 ) -> int:
-    """The one columnar Generic Join traversal.
+    """The one Generic Join traversal, over either backend's tries.
 
-    Walks the sorted-array tries exactly as described on
-    :func:`generic_join_columnar` and hands every leaf batch to
-    ``sink(prefix, values)`` — ``prefix`` the decoded values bound for
-    ``order[:-1]`` so far, ``values`` the matched interned codes of the
-    last attribute. Materialization, semiring folding and first-witness
-    search are the three sinks over this one traversal, which is what
-    keeps their charge streams identical unit for unit (and identical
-    to the naive engine's). Returns the number of answers emitted.
+    ``relevant`` lists, per position of the attribute order, the atoms
+    containing that attribute; ``positions`` gives each atom's columns
+    in that order (its trie key). The walk keeps an explicit stack of
+    frames, one per bound attribute, so its depth is not the
+    interpreter's. The backend's ``step`` intersects one node's
+    candidates and its ``first`` seeks them one match at a time; the
+    walk charges what they examined and descends. Each leaf node's
+    matches go to ``sink(prefix, values)`` in one batch, decoded:
+    ``prefix`` the tuple of values bound so far, ``values`` the leaf's
+    matched values; a ``None`` sink only counts. ``first_only`` runs
+    ``first`` at every node and stops the walk after its first answer,
+    so no node is intersected beyond the match it descends into.
+    Returns the number of answers emitted.
 
-    ``lazy`` is for sinks that stop the walk by returning a true value
-    (the batched walk ignores the return value). Every node then
-    examines, charges and emits its leader's candidates one at a time,
-    so a stopped walk pays only for the candidates it examined; a lazy
-    walk that is never stopped charges what the batched walk charges.
+    Charges, on both backends and whichever sink: one unit per
+    candidate of a node's smallest set, counted when the walk reaches
+    it in depth-first order, one per trie-edge descent and one per
+    answer. A stopped walk has therefore paid only for what it
+    examined. ``wcoj.probes_per_answer`` observes, at each answer, the
+    candidates examined since the previous one.
+
+    Complexity: O(N^rho*(H)) data complexity — the AGM bound — with one
+        step per node and O(1) work per descent.
     """
-    # A fresh trie cursor per atom, tries served from the index cache.
-    cursors = []
-    for atom in query.atoms:
-        relation = database.relation(atom.relation_name)
-        positions = tuple(
-            atom.attributes.index(a) for a in order if a in atom.attributes
-        )
-        cursors.append(_TrieCursor(database.kernels.sorted_trie(relation, positions)))
+    if database.backend == "columnar":
+        nodes, step, first = _sorted_trie_steps(query, database, relevant, positions)
+        decode, backend = database.kernels.interner.values, {"backend": "columnar"}
+    else:
+        nodes, step, first = _hash_trie_steps(query, database, relevant, positions)
+        decode, backend = None, {}
+    # Distribution instrumentation (no-op outside the experiment
+    # runtime): probes charged between consecutive answers, and the
+    # size of the smallest candidate set at each node. Ngo's survey
+    # point: a WCOJ execution is certified by the *distribution* of
+    # probes per answer staying flat, not by the total.
     registry = current_metrics()
     probe_hist = candidate_hist = None
     if registry is not None:
         probe_hist = registry.histogram("wcoj.probes_per_answer", SMALL_BUCKETS)
         candidate_hist = registry.histogram("wcoj.candidate_set_size")
         registry.counter("wcoj.joins").inc()
-
-    nattrs = len(order)
-    decode = database.kernels.interner.values
-    prefix: list[Value] = []
-    probes_since_answer = 0
-    emitted = 0
-
-    def emit_batch(values: list[int]) -> bool:
-        # One leaf node's matched codes become answers in bulk; True
-        # when the sink asks to stop. The probe histogram keeps
-        # count/sum parity with the naive engine (probes land on the
-        # batch's first answer instead of being spread across it — see
-        # the module docstring).
-        nonlocal probes_since_answer, emitted
-        emitted += len(values)
-        stop = sink(tuple(prefix), values)
-        if probe_hist is not None:
-            probe_hist.observe(probes_since_answer)
-            probes_since_answer = 0
-            for _ in range(len(values) - 1):
-                probe_hist.observe(0)
-        return bool(stop)
-
-    def scalar_pair_node(
-        leader: _TrieCursor,
-        other: _TrieCursor,
-        pos: int,
-    ) -> None:
-        # The two-atom intersection (every node of a binary-relation
-        # query): leapfrog proper. Leader values ascend, so each seek
-        # into ``other`` resumes from the previous hit — the galloping
-        # invariant of [61] — and charges are bulked per node.
-        values = leader.trie.ulist[leader.level]
-        l_lvl, l_lo, l_hi = leader.level, leader.lo, leader.hi
-        o_lvl, o_lo, o_hi = other.level, other.lo, other.hi
-        ul = other.trie.ulist[o_lvl]
-        if pos == nattrs - 1:
-            batch: list[int] = []
-            seek = o_lo
-            for run in range(l_lo, l_hi):
-                v = values[run]
-                seek = bisect_left(ul, v, seek, o_hi)
-                if seek >= o_hi:
+    last = len(relevant) - 1
+    prefix: list[Value] = [None] * last
+    # The stack: frame ``d`` is the node bound at position ``d`` — its
+    # atoms' states to restore, its width, its matches still to descend
+    # into and the offset of the last candidate examined, in these
+    # per-position lists sized once for the query.
+    saved: list = [None] * last
+    widths = [0] * last
+    pending: list = [None] * last
+    seen = [-1] * last
+    depth = 0
+    # ``owed``: charges counted since the last payment, paid at every
+    # inner node; ``probes``: candidates examined since the last answer.
+    owed = probes = emitted = 0
+    with span(span_name, counter=counter, atoms=len(nodes), attrs=last + 1, **backend):
+        while True:
+            atoms = relevant[depth]
+            if first_only:
+                width, matches = first(depth, nodes)
+            else:
+                width, offsets, values, children = step(depth, nodes, depth == last)
+            if candidate_hist is not None:
+                candidate_hist.observe(width)
+            if depth < last:
+                if not first_only:
+                    matches = zip(offsets, values, zip(*children))
+                saved[depth] = tuple([nodes[i] for i in atoms])
+                widths[depth], pending[depth], seen[depth] = width, matches, -1
+                depth += 1
+                charge(counter, owed)
+                owed = 0
+            elif first_only:
+                match = next(matches, None)
+                examined = width if match is None else match[0] + 1
+                owed += examined
+                probes += examined
+                if match is not None:
+                    owed += len(atoms) + 1
+                    if probe_hist is not None:
+                        probe_hist.observe(probes)
+                    emitted = 1
+                    if sink is not None:
+                        value = match[1]
+                        sink(tuple(prefix), [value if decode is None else decode[value]])
                     break
-                if ul[seek] == v:
-                    batch.append(v)
-            if batch:
-                charge(counter, len(batch) * 3)  # 2 descents + 1 answer each
-                emit_batch(batch)
-            return
-        l_trie, o_trie = leader.trie, other.trie
-        l_deep = l_lvl + 1 < l_trie.depth
-        o_deep = o_lvl + 1 < o_trie.depth
-        matches = 0
-        seek = o_lo
-        for run in range(l_lo, l_hi):
-            v = values[run]
-            seek = bisect_left(ul, v, seek, o_hi)
-            if seek >= o_hi:
+            else:
+                owed += width + len(offsets) * (len(atoms) + 1)
+                if offsets:
+                    emitted += len(offsets)
+                    if sink is not None:
+                        if decode is not None:
+                            values = map(decode.__getitem__, values)
+                        sink(tuple(prefix), values)
+                if probe_hist is not None:
+                    previous = -1
+                    for offset in offsets:
+                        probe_hist.observe(probes + offset - previous)
+                        probes, previous = 0, offset
+                    probes += width - 1 - previous
+            # Descend into the next match of the deepest frame that has
+            # one, restoring each exhausted frame's atoms on the way up.
+            while depth:
+                d = depth - 1
+                atoms = relevant[d]
+                match = next(pending[d], None)
+                if match is not None:
+                    offset, value, children = match
+                    owed += offset - seen[d] + len(atoms)
+                    probes += offset - seen[d]
+                    seen[d] = offset
+                    for i, child in zip(atoms, children):
+                        nodes[i] = child
+                    prefix[d] = value if decode is None else decode[value]
+                    break
+                owed += widths[d] - 1 - seen[d]
+                probes += widths[d] - 1 - seen[d]
+                for i, state in zip(atoms, saved[d]):
+                    nodes[i] = state
+                depth = d
+            else:
                 break
-            if ul[seek] != v:
-                continue
-            matches += 1
-            if l_deep:
-                leader.lo = l_trie.next_lo[l_lvl][run]
-                leader.hi = l_trie.next_hi[l_lvl][run]
-            leader.level = l_lvl + 1
-            if o_deep:
-                other.lo = o_trie.next_lo[o_lvl][seek]
-                other.hi = o_trie.next_hi[o_lvl][seek]
-            other.level = o_lvl + 1
-            prefix.append(decode[v])
-            recurse(pos + 1)
-            prefix.pop()
-        if matches:
-            charge(counter, matches * 2)
-        leader.level, leader.lo, leader.hi = l_lvl, l_lo, l_hi
-        other.level, other.lo, other.hi = o_lvl, o_lo, o_hi
-
-    def scalar_node(
-        leader: _TrieCursor,
-        others: list[_TrieCursor],
-        pos: int,
-        natoms: int,
-    ) -> None:
-        if natoms == 2:
-            scalar_pair_node(leader, others[0], pos)
-            return
-        values = leader.trie.ulist[leader.level]
-        last = pos == nattrs - 1
-        batch: list[int] = []
-        # Monotone per-iterator seek bounds: leader values ascend, so
-        # each iterator's next hit is at or right of its previous one.
-        seeks = [other.lo for other in others]
-        for run in range(leader.lo, leader.hi):
-            v = values[run]
-            hits = []
-            for j, other in enumerate(others):
-                ul = other.trie.ulist[other.level]
-                ix = bisect_left(ul, v, seeks[j], other.hi)
-                seeks[j] = ix
-                if ix >= other.hi or ul[ix] != v:
-                    break
-                hits.append((other, ix))
-            else:
-                charge(counter, natoms)
-                if last:
-                    batch.append(v)
-                    continue
-                saved = [(other, _descend(other, ix)) for other, ix in hits]
-                saved.append((leader, _descend(leader, run)))
-                prefix.append(decode[v])
-                recurse(pos + 1)
-                prefix.pop()
-                for cur, (lvl, lo, hi) in saved:
-                    cur.level, cur.lo, cur.hi = lvl, lo, hi
-        if batch:
-            charge(counter, len(batch))
-            emit_batch(batch)
-
-    def witness_node(
-        leader: _TrieCursor,
-        others: list[_TrieCursor],
-        pos: int,
-        natoms: int,
-    ) -> bool:
-        # The lazy walk's node: no bulk width charge and no numpy
-        # batch, one candidate at a time, so the walk can stop right
-        # after the answer the sink stops it at. True once stopped.
-        nonlocal probes_since_answer
-        values = leader.trie.ulist[leader.level]
-        last = pos == nattrs - 1
-        for run in range(leader.lo, leader.hi):
-            charge(counter)
-            probes_since_answer += 1
-            v = values[run]
-            hits = []
-            for other in others:
-                ul = other.trie.ulist[other.level]
-                ix = bisect_left(ul, v, other.lo, other.hi)
-                if ix >= other.hi or ul[ix] != v:
-                    break
-                hits.append((other, ix))
-            else:
-                charge(counter, natoms)
-                if last:
-                    charge(counter)
-                    if emit_batch([v]):
-                        return True
-                    continue
-                saved = [(other, _descend(other, ix)) for other, ix in hits]
-                saved.append((leader, _descend(leader, run)))
-                prefix.append(decode[v])
-                stopped = recurse(pos + 1)
-                prefix.pop()
-                for cur, (lvl, lo, hi) in saved:
-                    cur.level, cur.lo, cur.hi = lvl, lo, hi
-                if stopped:
-                    return True
-        return False
-
-    def vector_node(
-        leader: _TrieCursor,
-        others: list[_TrieCursor],
-        pos: int,
-        natoms: int,
-    ) -> None:
-        lead_slice = leader.trie.uvals[leader.level][leader.lo : leader.hi]
-        matched = lead_slice
-        other_runs: list[tuple[_TrieCursor, np.ndarray]] = []
-        for other in others:
-            u = other.trie.uvals[other.level][other.lo : other.hi]
-            if len(u) == 0 or len(matched) == 0:
-                return
-            ix = np.searchsorted(u, matched)
-            np.minimum(ix, len(u) - 1, out=ix)
-            mask = u[ix] == matched
-            matched = matched[mask]
-            ix = ix[mask]
-            for j in range(len(other_runs)):
-                other_runs[j] = (other_runs[j][0], other_runs[j][1][mask])
-            other_runs.append((other, ix + other.lo))
-        m = len(matched)
-        if m == 0:
-            return
-        charge(counter, m * natoms)
-        if pos == nattrs - 1:
-            charge(counter, m)
-            emit_batch(matched.tolist())
-            return
-        lead_runs = np.searchsorted(lead_slice, matched) + leader.lo
-        # Entry states, captured once: every matched value descends from
-        # the same node, so the per-value reset is just these tuples.
-        descents = [
-            (cur, runs.tolist(), cur.level, cur.lo, cur.hi)
-            for cur, runs in [(leader, lead_runs), *other_runs]
-        ]
-        for j, v in enumerate(matched.tolist()):
-            for cur, runs, lvl, _, _ in descents:
-                trie = cur.trie
-                if lvl + 1 < trie.depth:
-                    run = runs[j]
-                    cur.lo = trie.next_lo[lvl][run]
-                    cur.hi = trie.next_hi[lvl][run]
-                cur.level = lvl + 1
-            prefix.append(decode[v])
-            recurse(pos + 1)
-            prefix.pop()
-        for cur, _, lvl, lo, hi in descents:
-            cur.level, cur.lo, cur.hi = lvl, lo, hi
-
-    def recurse(pos: int) -> bool:
-        """Walk the subtree at ``pos``; True once the sink stopped a
-        lazy walk."""
-        nonlocal probes_since_answer
-        atoms_here = relevant[pos]
-        lead = atoms_here[0]
-        width = cursors[lead].hi - cursors[lead].lo
-        for i in atoms_here[1:]:
-            w = cursors[i].hi - cursors[i].lo
-            if w < width:
-                width = w
-                lead = i
-        if candidate_hist is not None:
-            candidate_hist.observe(width)
-        leader = cursors[lead]
-        others = [cursors[i] for i in atoms_here if i != lead]
-        if lazy:
-            return witness_node(leader, others, pos, len(atoms_here))
-        charge(counter, width)
-        probes_since_answer += width
-        if width == 0:
-            return False
-        if width <= SCALAR_THRESHOLD:
-            scalar_node(leader, others, pos, len(atoms_here))
-        else:
-            vector_node(leader, others, pos, len(atoms_here))
-        return False
-
-    with span(
-        span_name,
-        counter=counter,
-        atoms=len(cursors),
-        attrs=nattrs,
-        backend="columnar",
-    ):
-        recurse(0)
+        charge(counter, owed)
     if registry is not None:
         registry.counter("wcoj.answers").inc(emitted)
     return emitted
@@ -809,30 +841,26 @@ def generic_join_columnar(
     database,
     order: tuple[str, ...],
     relevant: list[list[int]],
+    positions: list[tuple[int, ...]],
     counter: CostCounter | None = None,
 ) -> Relation:
-    """Generic Join over sorted-array tries with leapfrog intersection.
+    """Generic Join's full answer, on either backend.
 
     Called by :func:`repro.relational.wcoj.generic_join` after shared
-    validation; ``relevant`` lists, per position of ``order``, the
-    atoms containing that attribute. Narrow nodes run a scalar leapfrog
-    (leader values walked run by run, other iterators sought by binary
-    search); wide nodes batch the same intersection through
-    ``np.searchsorted``. Charges match the naive engine unit for unit:
-    |smallest candidate set| per node, one per trie-edge descent, one
-    per answer.
+    validation: :func:`walk_generic_join` with a sink that adds each
+    leaf batch to the answer. (The name predates the shared walk;
+    perfbench's launcher times it under this name.)
 
     Complexity: O(N^rho*(H)) data complexity — the AGM bound — with
-    O(log N) per seek in place of the hash trie's O(1) probes.
+    O(1) work per probe on hash tries, O(log N) per seek on sorted ones.
     """
     answer = Relation("answer", order)
     answers = answer.tuples
-    decode = database.kernels.interner.values
 
-    def sink(prefix: tuple, values: list[int]) -> None:
-        answers.update(prefix + (decode[v],) for v in values)
+    def sink(prefix: tuple, values) -> None:
+        answers.update([prefix + (v,) for v in values])
 
-    _drive_generic_join(query, database, order, relevant, counter, sink)
+    walk_generic_join(query, database, relevant, positions, counter, sink, "generic_join")
     return answer
 
 
@@ -842,56 +870,48 @@ def aggregate_columnar(
     semiring,
     order: tuple[str, ...],
     relevant: list[list[int]],
+    positions: list[tuple[int, ...]],
     counter: CostCounter | None = None,
     annotate=None,
 ) -> object:
-    """SumProd over the columnar backend: one leapfrog traversal,
-    semiring accumulation instead of materialization.
+    """SumProd by Generic Join on either backend: the same walk and
+    charges as :func:`generic_join_columnar`, folding answers into a
+    running ⊕-accumulator instead of materializing them.
 
     Called by :func:`repro.relational.wcoj.generic_join_aggregate`
-    after shared validation. Runs the *same* traversal (and charges the
-    same op stream) as :func:`generic_join_columnar`, but leaf batches
-    fold into a running ⊕-accumulator:
+    after shared validation.
 
     * **annotation-free** instances (boolean, counting with default
-      annotations) contribute ``repeat_add(one, m)`` per ``m``-wide
-      leaf batch — no per-answer decode, the segment-sum fast path
-      that makes counting strictly cheaper than enumerate-then-count;
+      annotations) weigh every answer ``one``, so the walk only counts
+      its ``m`` answers and the value is ``repeat_add(one, m)`` — no
+      per-answer decode or fold, which makes counting strictly cheaper
+      than enumerate-then-count;
     * annotated instances (min-plus costs, provenance variables) fold
       each answer's ⊗-weight through the shared
       :func:`~repro.relational.semiring.fold_tuple`, so per-answer
       weights are engine-independent by construction.
 
     Complexity: O(N^rho*(H)) data complexity, O(1) extra per answer
-    (annotation-free: O(1) extra per leaf *batch*).
+    (annotation-free: O(1) extra in all).
     """
     from .semiring import annotation_positions, fold_tuple
 
+    if annotate is None and semiring.annotation_free:
+        emitted = walk_generic_join(
+            query, database, relevant, positions, counter, None, "generic_join_aggregate"
+        )
+        return semiring.repeat_add(semiring.one, emitted)
     plan = annotation_positions(query, order)
-    trivial = annotate is None and semiring.annotation_free
     add = semiring.add
-    one = semiring.one
     acc = semiring.zero
-    decode = database.kernels.interner.values
 
-    def sink(prefix: tuple, values: list[int]) -> None:
+    def sink(prefix: tuple, values) -> None:
         nonlocal acc
-        if trivial:
-            acc = add(acc, semiring.repeat_add(one, len(values)))
-            return
         for v in values:
-            acc = add(
-                acc, fold_tuple(semiring, plan, prefix + (decode[v],), annotate)
-            )
+            acc = add(acc, fold_tuple(semiring, plan, prefix + (v,), annotate))
 
-    _drive_generic_join(
-        query,
-        database,
-        order,
-        relevant,
-        counter,
-        sink,
-        span_name="generic_join_aggregate",
+    walk_generic_join(
+        query, database, relevant, positions, counter, sink, "generic_join_aggregate"
     )
     return acc
 
@@ -899,31 +919,34 @@ def aggregate_columnar(
 def boolean_generic_join_columnar(
     query,
     database,
-    order: tuple[str, ...],
     relevant: list[list[int]],
+    positions: list[tuple[int, ...]],
     counter: CostCounter | None = None,
 ) -> bool:
-    """Emptiness of the answer by columnar Generic Join: a first-witness
-    sink that stops the lazy walk at its first answer.
+    """Emptiness of the answer by Generic Join on either backend: the
+    walk stops at its first answer.
 
     Called by :func:`repro.relational.wcoj.boolean_generic_join` after
     shared validation. On empty answers the walk runs to the end and
     charges exactly what :func:`generic_join_columnar` charges.
 
-    Complexity: O(N^rho*(H)) worst case (AGM bound), O(log N) per seek;
-    exits on the first satisfying assignment.
+    Complexity: O(N^rho*(H)) worst case (AGM bound), O(1) per probe on
+    hash tries, O(log N) per seek on sorted ones; exits on the first
+    satisfying assignment.
     """
-    emitted = _drive_generic_join(
-        query,
-        database,
-        order,
-        relevant,
-        counter,
-        lambda prefix, values: True,
-        span_name="boolean_generic_join",
-        lazy=True,
+    return (
+        walk_generic_join(
+            query,
+            database,
+            relevant,
+            positions,
+            counter,
+            None,
+            "boolean_generic_join",
+            first_only=True,
+        )
+        > 0
     )
-    return emitted > 0
 
 
 # -- per-semiring value arrays and vectorized segment folds -----------

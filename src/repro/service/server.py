@@ -65,7 +65,7 @@ from .http import (
     response_bytes,
 )
 from .plan_cache import PlanCache
-from .store import DatabaseStore, _require_list
+from .store import DatabaseStore, _require_keys, _require_list
 from .telemetry import RequestRecord, ServiceTelemetry
 
 __all__ = [
@@ -93,11 +93,8 @@ def query_from_payload(payload: dict) -> JoinQuery:
     for entry in atoms_payload:
         if not isinstance(entry, dict):
             raise SchemaError(f"atom entry must be an object, got {entry!r}")
-        try:
-            relation = entry["relation"]
-            attributes = entry["attributes"]
-        except KeyError as missing:
-            raise SchemaError(f"atom entry missing key {missing}") from missing
+        _require_keys(entry, "atom entry", ("relation", "attributes"))
+        relation, attributes = entry["relation"], entry["attributes"]
         _require_list(attributes, "atom 'attributes'", str)
         atoms.append(Atom(relation, tuple(attributes)))
     return JoinQuery(atoms)
@@ -129,11 +126,8 @@ def csp_from_payload(payload: dict) -> CSPInstance:
     for entry in constraints_payload:
         if not isinstance(entry, dict):
             raise SchemaError(f"constraint entry must be an object, got {entry!r}")
-        try:
-            scope = entry["scope"]
-            allowed = entry["allowed"]
-        except KeyError as missing:
-            raise SchemaError(f"constraint entry missing key {missing}") from missing
+        _require_keys(entry, "constraint entry", ("scope", "allowed"))
+        scope, allowed = entry["scope"], entry["allowed"]
         _require_list(scope, "constraint 'scope'")
         _require_list(allowed, "constraint 'allowed'", list)
         constraints.append(Constraint(tuple(scope), (tuple(t) for t in allowed)))
@@ -392,6 +386,7 @@ class QueryService:
         payload = request.json()
         if not isinstance(payload, dict):
             raise SchemaError("registration payload must be an object")
+        _require_keys(payload, "registration payload", (), ("name", "relations"))
         name = payload.get("name")
         relations = payload.get("relations")
         if not isinstance(name, str):
@@ -423,6 +418,9 @@ class QueryService:
         payload = request.json()
         if not isinstance(payload, dict):
             raise SchemaError("query payload must be an object")
+        _require_keys(
+            payload, "query payload", (), ("database", "atoms", "mode", "free", "semiring")
+        )
         database_name = payload.get("database")
         if not isinstance(database_name, str):
             raise SchemaError("query payload needs a string 'database'")
@@ -540,6 +538,9 @@ class QueryService:
         payload = request.json()
         if not isinstance(payload, dict):
             raise SchemaError("solve payload must be an object")
+        _require_keys(
+            payload, "solve payload", (), ("domain", "constraints", "variables", "method")
+        )
         method = payload.get("method", "auto")
         if not isinstance(method, str):
             raise SchemaError("solve 'method' must be a string")

@@ -66,11 +66,28 @@ def _require_list(value, what: str, item: type | None = None) -> None:
     raise SchemaError(f"{what} must be {shape}, got {value!r}")
 
 
+def _require_keys(
+    entry: dict, what: str, required: tuple[str, ...], optional: tuple[str, ...] = ()
+) -> None:
+    """Raise :class:`SchemaError` unless ``entry`` has every ``required``
+    key and no key outside ``required`` and ``optional``.
+
+    A misspelt key is an error, not an ignored field: a query's
+    ``"fre"`` would otherwise be answered as the unprojected join.
+    """
+    unknown = [key for key in entry if key not in required and key not in optional]
+    if unknown:
+        raise SchemaError(f"{what} has unknown keys {unknown}")
+    for key in required:
+        if key not in entry:
+            raise SchemaError(f"{what} missing key {key!r}")
+
+
 def database_from_payload(payload: list[dict], backend: str = "columnar") -> Database:
     """Build a :class:`Database` from a relations payload.
 
-    Each entry needs a string ``name``, ``attributes`` as a list of
-    strings and ``tuples`` as a list of lists; anything else is a
+    Each entry has exactly a string ``name``, ``attributes`` as a list
+    of strings and ``tuples`` as a list of lists; anything else is a
     :class:`SchemaError`, never coerced.
     """
     if not isinstance(payload, list) or not payload:
@@ -79,12 +96,8 @@ def database_from_payload(payload: list[dict], backend: str = "columnar") -> Dat
     for entry in payload:
         if not isinstance(entry, dict):
             raise SchemaError(f"relation entry must be an object, got {entry!r}")
-        try:
-            name = entry["name"]
-            attributes = entry["attributes"]
-            tuples = entry["tuples"]
-        except KeyError as missing:
-            raise SchemaError(f"relation entry missing key {missing}") from missing
+        _require_keys(entry, "relation entry", ("name", "attributes", "tuples"))
+        name, attributes, tuples = entry["name"], entry["attributes"], entry["tuples"]
         if not isinstance(name, str):
             raise SchemaError(f"relation 'name' must be a string, got {name!r}")
         _require_list(attributes, "relation 'attributes'", str)

@@ -341,9 +341,10 @@ def _diagonal_triangle(width: int, shift: int) -> Database:
 
 
 def test_first_witness_walk_charges_only_what_it_examines():
-    # The root is wide enough for the batched walk's vector path, which
-    # lists (and charges) every root candidate before descending; the
-    # first-witness walk stops inside its first root candidate.
+    # The root is wide enough for the full walk's vector path, which
+    # intersects every root candidate before descending; the
+    # first-witness walk seeks one candidate at a time and stops inside
+    # its first root candidate.
     width = 2 * SCALAR_THRESHOLD
     query = JoinQuery.triangle()
     columnar = _diagonal_triangle(width, shift=0).with_backend("columnar")
@@ -353,6 +354,20 @@ def test_first_witness_walk_charges_only_what_it_examines():
     full = CostCounter()
     generic_join(query, columnar, counter=full)
     assert full.total > width
+
+
+def test_first_witness_walk_never_intersects_a_whole_node(monkeypatch):
+    import repro.relational.kernels as kernels
+
+    def whole_node(*args):
+        raise AssertionError("the first-witness walk intersected a whole node")
+
+    monkeypatch.setattr(kernels, "_leapfrog", whole_node)
+    query = JoinQuery.triangle()
+    db = _diagonal_triangle(2 * SCALAR_THRESHOLD, shift=1).with_backend("columnar")
+    assert not boolean_generic_join(query, db)
+    with pytest.raises(AssertionError, match="whole node"):
+        generic_join(query, db)
 
 
 def test_first_witness_walk_on_empty_answer_charges_the_full_walk():

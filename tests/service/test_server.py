@@ -1,12 +1,14 @@
 """End-to-end service tests over a real asyncio server on port 0."""
 
 import asyncio
+import dataclasses
 import json
 
 from repro.counting import CostCounter
 from repro.relational.query import Atom, JoinQuery
 from repro.relational.router import execute_route
 from repro.service import QueryService
+from repro.service import plan_cache as plan_cache_module
 from repro.service import server as server_module
 from repro.service.client import ServiceClient
 from repro.service.http import HttpRequest
@@ -141,13 +143,18 @@ class TestQueryEndpoint:
         run_service(body)
 
 
-#: A 600-atom cycle drives the columnar Generic Join recursion past the
-#: interpreter's limit in boolean mode: a RecursionError, not a
-#: ReproError. Its count needs no recursion: variable elimination.
+#: A 600-atom cycle: deeper than the interpreter's recursion limit, so
+#: every engine must walk it iteratively. Its count runs variable
+#: elimination; boolean and enumerate run Generic Join.
 DEEP_CYCLE = [
     {"relation": "R1", "attributes": [f"v{i}", f"v{(i + 1) % 600}"]}
     for i in range(600)
 ]
+
+#: A directed 4-cycle: a 600-atom cycle over it has exactly four
+#: answers, one per start vertex (over ``EDGES`` it has about 10^52, too
+#: many to enumerate).
+RING = [{"name": "R1", "attributes": ["a1", "a2"], "tuples": [[1, 2], [2, 3], [3, 4], [4, 1]]}]
 
 
 def closed_walks(edges, length: int) -> int:
@@ -185,20 +192,82 @@ class TestDeepCycleCount:
             responses[workers] = strip_volatile(payload)
         assert responses[2] == responses[0]
 
+    def test_a_600_atom_cycle_decides_and_enumerates_at_every_workers_setting(self):
+        """Generic Join keeps its own stack: boolean and enumerate over
+        the 600-atom cycle answer 200, with the same bodies inline and
+        from shard workers."""
+
+        async def body(service, host, port, client):
+            await client.register("ring", RING)
+            return [
+                await client.query("demo", DEEP_CYCLE, mode="boolean"),
+                await client.query("ring", DEEP_CYCLE, free=["v0"]),
+            ]
+
+        responses = {}
+        for workers in (0, 2):
+            (status, boolean), (enum_status, enumerate_) = run_service(
+                body, workers=workers
+            )
+            assert status == enum_status == 200, (boolean, enumerate_)
+            assert boolean["nonempty"] is True and boolean["route"] == "wcoj"
+            assert enumerate_["answers"] == [[1], [2], [3], [4]]
+            responses[workers] = [strip_volatile(boolean), strip_volatile(enumerate_)]
+        assert responses[2] == responses[0]
+
+
+#: A 4-cycle's count runs variable elimination along the plan's order.
+FOUR_CYCLE = [
+    {"relation": "R1", "attributes": ["a1", "a2"]},
+    {"relation": "R1", "attributes": ["a2", "a3"]},
+    {"relation": "R1", "attributes": ["a3", "a4"]},
+    {"relation": "R1", "attributes": ["a4", "a1"]},
+]
+
+
+class FaultyName(str):
+    """An attribute name whose ordering comparison raises: an engine
+    fault that travels inside a plan, so it fires wherever the plan is
+    evaluated, inline or in a shard worker."""
+
+    def __lt__(self, other):
+        raise RuntimeError("injected engine fault")
+
+
+def inject_engine_fault(monkeypatch) -> None:
+    """Plan every query with its elimination order rebuilt from
+    :class:`FaultyName`s: variable elimination sorts the order to check
+    it, so a cyclic count raises there."""
+    real = plan_cache_module.decide_route
+
+    def faulty(*args, **kwargs):
+        decision = real(*args, **kwargs)
+        if decision.order is None:
+            return decision
+        return dataclasses.replace(
+            decision, order=tuple(map(FaultyName, decision.order))
+        )
+
+    monkeypatch.setattr(plan_cache_module, "decide_route", faulty)
+
 
 class TestUnexpectedExceptions:
-    def test_engine_fault_is_500_with_a_record_and_the_connection_lives(self):
+    def test_engine_fault_is_500_with_a_record_and_the_connection_lives(
+        self, monkeypatch
+    ):
+        inject_engine_fault(monkeypatch)
+
         async def body(service, host, port, client):
             before = service.telemetry.registry.counter_value("requests.total")
-            status, payload = await client.query("demo", DEEP_CYCLE, mode="boolean")
+            status, payload = await client.query("demo", FOUR_CYCLE, mode="count")
             assert status == 500
-            assert payload["exception"] == "RecursionError"
+            assert payload["exception"] == "RuntimeError"
             assert payload["error"] == "internal error"
             records = [
                 r for r in service.telemetry.recent_requests() if r.status == 500
             ]
             assert [r.request_id for r in records] == [payload["request_id"]]
-            assert "RecursionError: maximum recursion depth" in records[0].detail
+            assert "RuntimeError: injected engine fault" in records[0].detail
             assert "Traceback" in records[0].detail
             after = service.telemetry.registry.counter_value("requests.total")
             assert after == before + 1
@@ -241,30 +310,33 @@ class TestWorkerEvaluationErrors:
         assert responses[2] == responses[0]
 
     def test_worker_runtime_error_is_not_a_transport_failure(self, monkeypatch):
-        """RecursionError is a RuntimeError, as BrokenProcessPool is: it
-        comes back as the worker's result and is answered once, with a 500."""
+        """An engine's RuntimeError is a RuntimeError, as BrokenProcessPool
+        is: it comes back as the worker's result and is answered once,
+        with a 500."""
+        inject_engine_fault(monkeypatch)
         inline: list = []
         monkeypatch.setattr(
             server_module, "evaluate_core", lambda *args: inline.append(args)
         )
 
         async def body(service, host, port, client):
-            status, payload = await client.query("demo", DEEP_CYCLE, mode="boolean")
+            status, payload = await client.query("demo", FOUR_CYCLE, mode="count")
             errors = service.telemetry.registry.counter_value("executor.errors")
             return status, payload, errors
 
         status, payload, errors = run_service(body, workers=2)
         assert (status, payload["exception"], errors, inline) == (
-            500, "RecursionError", 0, []
+            500, "RuntimeError", 0, []
         )
 
-    def test_worker_fault_record_keeps_the_engine_frames(self):
+    def test_worker_fault_record_keeps_the_engine_frames(self, monkeypatch):
         """Pickling drops ``__traceback__``: the worker formats its frames
         and the parent records them, so a fault's 500 record names the
         engine frame it was raised in at every ``--workers`` setting."""
+        inject_engine_fault(monkeypatch)
 
         async def body(service, host, port, client):
-            status, payload = await client.query("demo", DEEP_CYCLE, mode="boolean")
+            status, payload = await client.query("demo", FOUR_CYCLE, mode="count")
             [record] = [
                 r for r in service.telemetry.recent_requests() if r.status == 500
             ]
@@ -274,18 +346,62 @@ class TestWorkerEvaluationErrors:
         for workers in (0, 2):
             status, payload, detail = run_service(body, workers=workers)
             assert status == 500
-            assert "witness_node" in detail, detail
-            # CPython appends the C call site that hit the limit ("... in
-            # comparison"), which depends on the stack depth evaluation
-            # started at: the message stays in the record, not the body.
+            assert "variable_elimination" in detail, detail
             last = detail.rstrip().splitlines()[-1]
-            assert last.startswith("RecursionError: maximum recursion depth"), detail
+            assert last == "RuntimeError: injected engine fault", detail
             del payload["request_id"]
             bodies[workers] = payload
         assert bodies[2] == bodies[0] == {
             "error": "internal error",
-            "exception": "RecursionError",
+            "exception": "RuntimeError",
         }
+
+
+#: (endpoint, payload, the misspelt key its 400 must name). Each payload
+#: is valid apart from that one key, which used to be ignored.
+MISSPELT_KEYS = [
+    ("/query", {"database": "demo", "atoms": TRIANGLE_ATOMS, "fre": ["a1"]}, "fre"),
+    (
+        "/query",
+        {"database": "demo", "atoms": TRIANGLE_ATOMS, "mode": "aggregate", "semirng": "minplus"},
+        "semirng",
+    ),
+    (
+        "/query",
+        {"database": "demo", "atoms": [{"relaton": "R1", "attributes": ["a1", "a2"]}]},
+        "relaton",
+    ),
+    (
+        "/solve",
+        {"domain": [0, 1], "constraints": [{"scope": ["x", "y"], "allowed": [[0, 1]]}], "methd": "sat"},
+        "methd",
+    ),
+    (
+        "/solve",
+        {"domain": [0, 1], "constraints": [{"scope": ["x", "y"], "alowed": [[0, 1]]}]},
+        "alowed",
+    ),
+    ("/databases", {"name": "extra", "relations": RELATIONS, "backend": "naive"}, "backend"),
+    (
+        "/databases",
+        {"name": "typo", "relations": [dict(RELATIONS[0], tupels=[])]},
+        "tupels",
+    ),
+]
+
+
+class TestMisspeltKeys:
+    def test_every_unknown_key_is_400_naming_it(self):
+        async def body(service, host, port, client):
+            return [
+                await client.request("POST", path, payload)
+                for path, payload, _ in MISSPELT_KEYS
+            ]
+
+        responses = run_service(body)
+        for (path, _, key), (status, payload) in zip(MISSPELT_KEYS, responses):
+            assert status == 400, (path, key, payload)
+            assert repr(key) in payload["error"], (path, key, payload)
 
 
 class TestStringShapedLists:

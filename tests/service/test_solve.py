@@ -200,3 +200,17 @@ class TestDeepInstances:
             return None
 
         run_service(body)
+
+    def test_backtracking_keeps_its_own_stack(self):
+        """Backtracking holds no frame per assigned variable: a
+        1,200-variable path answers instead of a RecursionError."""
+        constraints = path_colouring(1200)
+
+        async def body(service, client):
+            return await client.solve([0, 1, 2], constraints, method="backtracking")
+
+        status, payload = run_service(body)
+        assert status == 200 and payload["satisfiable"] is True, payload
+        instance = csp_from_payload({"domain": [0, 1, 2], "constraints": constraints})
+        assignment = {var: value for var, value in payload["assignment"]}
+        assert instance.is_solution(assignment)
