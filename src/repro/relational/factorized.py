@@ -110,6 +110,25 @@ def _expand(state: _AggState, free: tuple[str, ...]) -> Iterable[tuple]:
     return map(_getter([attrs.index(a) for a in free]), rows)
 
 
+def _expand_codes(state: _AggState) -> kernels.TableView:
+    """The answer of the reduced derived query, from the projections'
+    views on the columnar backend: :func:`_expand`'s joins, each one
+    :func:`~repro.relational.kernels.join_gather` of the rows so far
+    with the next projection, parents before children, charged to no
+    counter. A child shares only its key with the rows so far, and a
+    later root nothing, so its join is the cross product. The output
+    columns are the projections' attributes in that order.
+    """
+    stack = list(reversed(state.g_roots))
+    view = None
+    while stack:
+        j = stack.pop()
+        stack.extend(state.g_children[j])
+        part = state.projections[j].view
+        view = part if view is None else kernels.join_gather(view, part)[0]
+    return view
+
+
 def _walk(
     state: _AggState, free: tuple[str, ...], counter: CostCounter | None
 ) -> Iterator[tuple]:
@@ -160,7 +179,10 @@ class _AggState:
     """The reduced derived query: the one factorized representation.
 
     ``projections[j]`` is top atom ``j`` projected onto its free
-    interface and fully reduced; ``buckets[j]`` groups its tuples by
+    interface and fully reduced (on the columnar backend a
+    :class:`~repro.relational.kernels.CodedRelation`, whose view
+    :meth:`FactorizedResult.materialize` joins); ``buckets[j]`` groups
+    its tuples by
     ``key_attrs[j]``, the attributes it shares with its parent in the
     derived join forest ``(g_children, g_roots)``. Every reader of a
     :class:`FactorizedResult` works from these. Annotated semirings
@@ -299,19 +321,31 @@ class FactorizedResult:
             yield answer
 
     def materialize(self, name: str = "answer") -> Relation:
-        """Flatten into an ordinary :class:`Relation` over ``free``.
+        """Flatten into a :class:`Relation` over ``free``.
 
-        Expands the reduced derived query in bulk (:func:`_expand`)
-        instead of walking it. Like :meth:`count`, it charges nothing
-        and observes nothing; :meth:`enumerate` stays the
-        constant-delay walk.
+        Expands the reduced derived query in bulk instead of walking
+        it: on the columnar backend by joining the projections' views
+        (:func:`_expand_codes`) into a
+        :class:`~repro.relational.kernels.CodedRelation`, which decodes
+        nothing until read; on the naive one over tuples
+        (:func:`_expand`). Like :meth:`count`, it charges nothing and
+        observes nothing; :meth:`enumerate` stays the constant-delay
+        walk.
 
-        Complexity: O(|answer| · |free|).
+        Complexity: O(|answer| · |free| + ‖D‖ log ‖D‖).
         """
+        state = self._state
+        if state is None:
+            return Relation(name, self.free)
+        first = state.projections[0]
+        if isinstance(first, kernels.CodedRelation):
+            view = _expand_codes(state)
+            positions = [view.attributes.index(a) for a in self.free]
+            view = kernels.TableView(self.free, view.matrix[:, positions])
+            return kernels.to_relation(view, first.interner, name)
         out = Relation(name, self.free)
-        if self._state is not None:
-            out.tuples.update(_expand(self._state, self.free))
-            out.version += 1
+        out.tuples.update(_expand(state, self.free))
+        out.version += 1
         return out
 
 
@@ -455,7 +489,8 @@ def factorize(
     # depth-1 atom. Its hypergraph is α-acyclic again (the flattening
     # step of the free-connex construction), so a standard full reducer
     # makes every projection globally consistent. The columnar backend
-    # reduces it on views and decodes only the reduced projections.
+    # reduces it on views and keeps each reduced projection as a coded
+    # relation: bucketing decodes it, materialize joins its view.
     interfaces = [
         tuple(a for a in free_t if a in relations[t].attributes) for t in tops
     ]

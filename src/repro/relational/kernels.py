@@ -34,7 +34,11 @@ probe. This module is the alternative *representation* selected by
   by ``(relation, column order)`` and the relation's mutation
   ``version``, so indexes are built once and reused across subqueries,
   semijoin passes, and enumeration calls — the index-reuse assumption
-  NPRR [54] makes explicit.
+  NPRR [54] makes explicit;
+* answers stay codes: the engines return a :class:`CodedRelation`,
+  which decodes its tuples only when something reads them, and
+  :class:`AnswerWriter` writes a coded answer's canonical JSON text
+  (rows in ``repr`` order) straight from the codes.
 
 Operation-count contract
 ------------------------
@@ -54,6 +58,7 @@ empty, and then they equal the full walk's.
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_left
 from collections.abc import Sequence
 
@@ -216,7 +221,7 @@ class KernelState:
     and columnar backends never observe different index contents.
     """
 
-    __slots__ = ("interner", "_tables", "_tries", "_hash_tries")
+    __slots__ = ("interner", "_tables", "_tries", "_hash_tries", "_writer")
 
     def __init__(self) -> None:
         self.interner = Interner()
@@ -225,6 +230,21 @@ class KernelState:
             tuple[str, tuple[int, ...]], tuple[int, SortedTrieIndex]
         ] = {}
         self._hash_tries: dict[tuple[str, tuple[int, ...]], tuple[int, dict]] = {}
+        self._writer: tuple[int, AnswerWriter | None] | None = None
+
+    def answer_writer(self) -> AnswerWriter | None:
+        """The :class:`AnswerWriter` of the interner's values, or
+        ``None`` when their rank order would not be exact.
+
+        Built on first use, which is the first enumerate answer the
+        service writes, not registration, and rebuilt once the interner
+        has grown: codes are never reused, so until then every rank
+        stands.
+        """
+        size = len(self.interner)
+        if self._writer is None or self._writer[0] != size:
+            self._writer = (size, AnswerWriter.build(self.interner.values))
+        return self._writer[1]
 
     def table(self, relation: Relation) -> ColumnarTable:
         """The memoized interned matrix for ``relation``."""
@@ -482,14 +502,157 @@ def project_view(view: TableView, attributes: Sequence[str]) -> TableView:
     return TableView(attrs, _unique_rows(view.matrix[:, positions]))
 
 
-def to_relation(view: TableView, interner: Interner, name: str) -> Relation:
-    """Decode a view's interned codes back to a value-tuple Relation."""
-    out = Relation(name, view.attributes)
-    if view.matrix.size:
-        decode = np.array(interner.values, dtype=object)
-        out.tuples.update(map(tuple, decode[view.matrix].tolist()))
-        out.version += 1
-    return out
+class CodedRelation(Relation):
+    """A relation held as a view of interned codes: the columnar
+    engines' answer, with the :class:`Interner` that decodes it.
+
+    Nothing is decoded until something reads :attr:`tuples`; ``len``
+    reads the view. The service writes enumerate answers from
+    :attr:`codes` (:class:`AnswerWriter`), so on its path no value is
+    decoded. Once read, the tuple set is the relation, as for any
+    other, and :attr:`codes` is ``None``: a mutation of the set would
+    leave the view stale.
+    """
+
+    def __init__(self, name: str, view: TableView, interner: Interner) -> None:
+        super().__init__(name, view.attributes)
+        self.view = view
+        self.interner = interner
+        # ``Relation.__init__`` stored an empty set through the setter;
+        # the view holds the tuples until they are read.
+        self._decoded: set | None = None
+        if view.matrix.size:
+            self.version += 1
+
+    @property
+    def tuples(self) -> set:
+        if self._decoded is None:
+            self._decoded = self._decode()
+        return self._decoded
+
+    @tuples.setter
+    def tuples(self, value: set) -> None:
+        self._decoded = value
+
+    def _decode(self) -> set:
+        values = self.interner.values
+        # ``fromiter`` keeps tuple values whole; ``np.array`` would
+        # spread equal-length tuples over a second axis.
+        decode = np.fromiter(values, dtype=object, count=len(values))
+        return set(map(tuple, decode[self.view.matrix].tolist()))
+
+    @property
+    def codes(self) -> TableView | None:
+        """The view, while the tuples are unread (so unchanged)."""
+        return self.view if self._decoded is None else None
+
+    def __len__(self) -> int:
+        return len(self.view) if self._decoded is None else len(self._decoded)
+
+
+def to_relation(view: TableView, interner: Interner, name: str) -> CodedRelation:
+    """A view as a :class:`Relation` named ``name``, decoded on first read."""
+    return CodedRelation(name, view, interner)
+
+
+#: The types of JSON's scalars: the values whose reprs
+#: :class:`AnswerWriter` ranks, and the only ones the service accepts.
+SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+
+#: Rows per gather in :meth:`AnswerWriter.write`: its scratch arrays
+#: stay a few hundred KiB whatever the answer's size.
+WRITE_CHUNK_ROWS = 2048
+
+
+class AnswerWriter:
+    """Writes coded answers as the service's canonical JSON text, for
+    one interner's values.
+
+    The service sends an enumerate answer as ``json.dumps`` of its rows
+    sorted by ``repr`` (:func:`repro.service.executor.canonical_answers`).
+    When every value is a JSON scalar and no two share a repr, that is
+    the lexicographic order of the rows' *ranks*, each value's position
+    among the values sorted by ``repr``. Two rows' reprs first differ
+    inside their first pair of unequal values. If neither value's repr
+    is a prefix of the other's, that difference orders both the values
+    and the rows. If one is a proper prefix (``1`` and ``12``, ``1`` and
+    ``1.5``, ``1`` and ``1e+16``), the longer continues with a digit,
+    ``.`` or ``e``, each above the ``,`` or ``)`` that follows a value
+    in a tuple's repr, so the shorter sorts first in both. One
+    ``argsort`` of a packed rank key therefore orders the rows, and the
+    text is gathered from per-value JSON tokens.
+
+    ``buffer`` holds the row opener ``", ["`` (the first row drops its
+    comma), then each token followed by ``", "``, then each followed by
+    ``"]"``, both in rank order; ``starts`` and ``lengths`` index these
+    pieces, so a row is the opener, one piece of the first kind per
+    value but the last, and one of the second kind.
+    """
+
+    __slots__ = ("ranks", "buffer", "starts", "lengths")
+
+    def __init__(
+        self, ranks: np.ndarray, buffer: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+    ) -> None:
+        self.ranks = ranks
+        self.buffer = buffer
+        self.starts = starts
+        self.lengths = lengths
+
+    @classmethod
+    def build(cls, values: Sequence[Value]) -> AnswerWriter | None:
+        """The writer of ``values`` (an interner's, in code order), or
+        ``None`` when a value is not a JSON scalar or two values share a
+        repr (two NaN objects): then only ``sorted(key=repr)`` is exact.
+
+        Complexity: O(V log V) for V values.
+        """
+        if not SCALAR_TYPES.issuperset(map(type, values)):
+            return None
+        reprs = list(map(repr, values))
+        order = sorted(range(len(values)), key=reprs.__getitem__)
+        if any(reprs[a] == reprs[b] for a, b in zip(order, order[1:])):
+            return None
+        ranks = np.empty(len(values), dtype=np.int64)
+        ranks[order] = np.arange(len(values))
+        tokens = [json.dumps(values[code]).encode() for code in order]
+        pieces = [b", ["] + [t + b", " for t in tokens] + [t + b"]" for t in tokens]
+        buffer = b"".join(pieces)
+        # Gather offsets within a chunk are int32 unless the tokens
+        # alone outgrow it.
+        offsets = np.int32 if len(buffer) < 2**31 else np.int64
+        lengths = np.fromiter(map(len, pieces), dtype=offsets, count=len(pieces))
+        starts = np.cumsum(lengths, dtype=offsets) - lengths
+        return cls(ranks, np.frombuffer(buffer, dtype=np.uint8), starts, lengths)
+
+    def write(self, matrix: np.ndarray) -> str:
+        """``json.dumps`` of the rows of codes ``matrix`` sorted by
+        ``repr``, written from the codes, :data:`WRITE_CHUNK_ROWS` rows
+        per gather.
+
+        Complexity: O(n log n + |text|) for n rows.
+        """
+        if not len(matrix):
+            return "[]"
+        ranked = self.ranks[matrix]
+        keys = _packed_rows(ranked)
+        order = np.argsort(keys) if keys is not None else np.lexsort(ranked.T[::-1])
+        width = ranked.shape[1]
+        closing = len(self.ranks) + 1
+        pieces = []
+        for lo in range(0, len(order), WRITE_CHUNK_ROWS):
+            rows = ranked[order[lo : lo + WRITE_CHUNK_ROWS]]
+            chosen = np.zeros((len(rows), width + 1), dtype=np.int64)
+            chosen[:, 1:width] = rows[:, :-1] + 1
+            chosen[:, width] = rows[:, -1] + closing
+            lengths = self.lengths[chosen].ravel()
+            ends = np.cumsum(lengths, dtype=lengths.dtype)
+            index = np.repeat(self.starts[chosen].ravel() - (ends - lengths), lengths)
+            index += np.arange(ends[-1], dtype=index.dtype)
+            pieces.append(self.buffer[index].tobytes())
+        pieces[0] = b"[" + pieces[0][2:]
+        pieces.append(b"]")
+        return b"".join(pieces).decode("ascii")
 
 
 # -- the WCOJ kernel ---------------------------------------------------
@@ -715,9 +878,10 @@ def walk_generic_join(
     interpreter's. The backend's ``step`` intersects one node's
     candidates and its ``first`` seeks them one match at a time; the
     walk charges what they examined and descends. Each leaf node's
-    matches go to ``sink(prefix, values)`` in one batch, decoded:
-    ``prefix`` the tuple of values bound so far, ``values`` the leaf's
-    matched values; a ``None`` sink only counts. ``first_only`` runs
+    matches go to ``sink(prefix, values)`` in one batch, as the tries
+    hold them (values in hash tries, interned codes in sorted ones):
+    ``prefix`` the tuple bound so far, ``values`` the leaf's matches; a
+    ``None`` sink only counts. ``first_only`` runs
     ``first`` at every node and stops the walk after its first answer,
     so no node is intersected beyond the match it descends into.
     Returns the number of answers emitted.
@@ -734,10 +898,10 @@ def walk_generic_join(
     """
     if database.backend == "columnar":
         nodes, step, first = _sorted_trie_steps(query, database, relevant, positions)
-        decode, backend = database.kernels.interner.values, {"backend": "columnar"}
+        backend = {"backend": "columnar"}
     else:
         nodes, step, first = _hash_trie_steps(query, database, relevant, positions)
-        decode, backend = None, {}
+        backend = {}
     # Distribution instrumentation (no-op outside the experiment
     # runtime): probes charged between consecutive answers, and the
     # size of the smallest candidate set at each node. Ngo's survey
@@ -791,16 +955,13 @@ def walk_generic_join(
                         probe_hist.observe(probes)
                     emitted = 1
                     if sink is not None:
-                        value = match[1]
-                        sink(tuple(prefix), [value if decode is None else decode[value]])
+                        sink(tuple(prefix), [match[1]])
                     break
             else:
                 owed += width + len(offsets) * (len(atoms) + 1)
                 if offsets:
                     emitted += len(offsets)
                     if sink is not None:
-                        if decode is not None:
-                            values = map(decode.__getitem__, values)
                         sink(tuple(prefix), values)
                 if probe_hist is not None:
                     previous = -1
@@ -821,7 +982,7 @@ def walk_generic_join(
                     seen[d] = offset
                     for i, child in zip(atoms, children):
                         nodes[i] = child
-                    prefix[d] = value if decode is None else decode[value]
+                    prefix[d] = value
                     break
                 owed += widths[d] - 1 - seen[d]
                 probes += widths[d] - 1 - seen[d]
@@ -847,21 +1008,41 @@ def generic_join_columnar(
     """Generic Join's full answer, on either backend.
 
     Called by :func:`repro.relational.wcoj.generic_join` after shared
-    validation: :func:`walk_generic_join` with a sink that adds each
-    leaf batch to the answer. (The name predates the shared walk;
-    perfbench's launcher times it under this name.)
+    validation: :func:`walk_generic_join` with a sink that keeps each
+    leaf batch. On the columnar backend the batches stay codes and the
+    answer is a :class:`CodedRelation` over them: each batch keeps its
+    prefix once, and one ``np.repeat`` spreads the prefixes over their
+    leaves. (The name predates the shared walk; perfbench's launcher
+    times it under this name.)
 
     Complexity: O(N^rho*(H)) data complexity — the AGM bound — with
     O(1) work per probe on hash tries, O(log N) per seek on sorted ones.
     """
-    answer = Relation("answer", order)
-    answers = answer.tuples
+    if database.backend != "columnar":
+        answer = Relation("answer", order)
+        answers = answer.tuples
 
-    def sink(prefix: tuple, values) -> None:
-        answers.update([prefix + (v,) for v in values])
+        def sink(prefix: tuple, values) -> None:
+            answers.update([prefix + (v,) for v in values])
 
-    walk_generic_join(query, database, relevant, positions, counter, sink, "generic_join")
-    return answer
+        walk_generic_join(query, database, relevant, positions, counter, sink, "generic_join")
+        return answer
+    prefixes: list[tuple] = []
+    counts: list[int] = []
+    leaves: list[int] = []
+
+    def keep(prefix: tuple, values) -> None:
+        prefixes.append(prefix)
+        counts.append(len(values))
+        leaves.extend(values)
+
+    walk_generic_join(query, database, relevant, positions, counter, keep, "generic_join")
+    matrix = np.empty((len(leaves), len(order)), dtype=np.int64)
+    if leaves:
+        bound = np.array(prefixes, dtype=np.int64).reshape(len(prefixes), len(order) - 1)
+        matrix[:, :-1] = np.repeat(bound, counts, axis=0)
+        matrix[:, -1] = leaves
+    return to_relation(TableView(order, matrix), database.kernels.interner, "answer")
 
 
 def aggregate_columnar(
@@ -904,9 +1085,15 @@ def aggregate_columnar(
     plan = annotation_positions(query, order)
     add = semiring.add
     acc = semiring.zero
+    # The walk hands over what the tries hold: codes on the columnar
+    # backend, which the fold decodes.
+    decode = database.kernels.interner.values if database.backend == "columnar" else None
 
     def sink(prefix: tuple, values) -> None:
         nonlocal acc
+        if decode is not None:
+            prefix = tuple(map(decode.__getitem__, prefix))
+            values = map(decode.__getitem__, values)
         for v in values:
             acc = add(acc, fold_tuple(semiring, plan, prefix + (v,), annotate))
 

@@ -119,4 +119,4 @@ class Relation:
         )
 
     def __repr__(self) -> str:
-        return f"Relation({self.name!r}, {self.attributes}, |T|={len(self.tuples)})"
+        return f"Relation({self.name!r}, {self.attributes}, |T|={len(self)})"

@@ -75,6 +75,7 @@ from ..treewidth.heuristics import elimination_width, min_fill_order
 from .database import Database
 from .elimination import variable_elimination
 from .factorized import _validated_free, factorize, free_connex_forests
+from .kernels import CodedRelation, project_view, to_relation
 from .query import JoinQuery
 from .relation import Relation
 from .semiring import BOOLEAN, COUNTING, Semiring
@@ -253,7 +254,11 @@ def run_route(
                 )
             else:
                 answer = generic_join(query, database, counter=counter)
-                relation = project(answer, free_t, name="answer")
+                if isinstance(answer, CodedRelation):
+                    projected = project_view(answer.view, free_t)
+                    relation = to_relation(projected, answer.interner, "answer")
+                else:
+                    relation = project(answer, free_t, name="answer")
         elif semiring.annotation_free and semiring.idempotent_add:
             # The Boolean short-circuit: SumProd is `one` exactly when
             # an answer exists, so the route's first witness decides it.

@@ -49,6 +49,7 @@ version discipline).
 from __future__ import annotations
 
 import asyncio
+import json
 import multiprocessing
 import pickle
 import traceback
@@ -58,6 +59,7 @@ from ..counting import CostCounter
 from ..errors import ReproError
 from ..observability.metrics import MetricsRegistry, activate_metrics
 from ..observability.tracing import TraceContext, activate
+from ..relational.kernels import CodedRelation, KernelState
 from ..relational.query import Atom, JoinQuery
 from ..relational.router import RouteDecision, run_route
 from ..relational.semiring import get_semiring
@@ -112,12 +114,33 @@ def canonical_answers(tuples) -> list[list]:
     return [list(t) for t in sorted(tuples, key=repr)]
 
 
+def answers_json(relation, kernels: KernelState) -> str:
+    """The JSON text of an enumerate answer's :func:`canonical_answers`,
+    as the response carries it.
+
+    A columnar answer nobody has decoded is written from its codes by
+    the database's :class:`~repro.relational.kernels.AnswerWriter`,
+    which decodes nothing. Every other answer (the naive backend's, or
+    one whose interner holds a value that is not a JSON scalar, or two
+    values with one repr) is sorted by ``repr`` and encoded by
+    ``json.dumps``; both write the same text.
+    """
+    view = relation.codes if isinstance(relation, CodedRelation) else None
+    if view is not None and relation.interner is kernels.interner:
+        writer = kernels.answer_writer()
+        if writer is not None:
+            return writer.write(view.matrix)
+    return json.dumps(canonical_answers(relation.tuples), sort_keys=True, default=repr)
+
+
 def evaluate_core(database, spec: dict, track: str) -> dict:
     """Evaluate one routed query spec; returns the *evaluation core*.
 
     The core is the part of a ``/query`` response that depends only on
     (query, route, database content): answer fields, op count, and the
-    request-scoped metrics/span payloads. Inline evaluation and worker
+    request-scoped metrics/span payloads. Its ``answers`` is already
+    JSON text (:func:`answers_json`), which a worker ships as one
+    string and the response splices in. Inline evaluation and worker
     dispatch both call this one function, which is what makes
     ``--workers N`` responses byte-identical to ``--workers 0``. The
     spec's ``forests`` and ``order`` are the plan's join forests and
@@ -159,7 +182,7 @@ def evaluate_core(database, spec: dict, track: str) -> dict:
         "spans": trace.to_payload(),
     }
     if answer.relation is not None:
-        core["answers"] = canonical_answers(answer.relation.tuples)
+        core["answers"] = answers_json(answer.relation, database.kernels)
     if answer.count is not None:
         core["count"] = answer.count
     if answer.nonempty is not None:

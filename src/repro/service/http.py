@@ -137,7 +137,23 @@ def response_bytes(
 
 
 def json_response_bytes(
-    status: int, payload, keep_alive: bool = True, indent: int | None = None
+    status: int,
+    payload,
+    keep_alive: bool = True,
+    indent: int | None = None,
+    answers: str | None = None,
 ) -> bytes:
-    body = json.dumps(payload, sort_keys=True, indent=indent, default=repr).encode()
-    return response_bytes(status, body, keep_alive=keep_alive)
+    """One response whose body is ``payload`` as sorted-key JSON.
+
+    ``answers``, when given, is the JSON text of the payload's
+    ``answers`` list, encoded already (the service writes enumerate
+    answers straight from interned codes). It is spliced in as the
+    first key, which is where ``sort_keys`` puts it: every other key of
+    a response with answers sorts after ``"answers"``. Not with
+    ``indent``.
+    """
+    body = json.dumps(payload, sort_keys=True, indent=indent, default=repr)
+    if answers is not None:
+        rest = body[1:] if body == "{}" else ", " + body[1:]
+        body = '{"answers": ' + answers + rest
+    return response_bytes(status, body.encode(), keep_alive=keep_alive)

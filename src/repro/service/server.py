@@ -65,7 +65,13 @@ from .http import (
     response_bytes,
 )
 from .plan_cache import PlanCache
-from .store import DatabaseStore, _require_keys, _require_list
+from .store import (
+    DatabaseStore,
+    _require_keys,
+    _require_list,
+    _require_scalar_rows,
+    _require_scalars,
+)
 from .telemetry import RequestRecord, ServiceTelemetry
 
 __all__ = [
@@ -106,12 +112,14 @@ def csp_from_payload(payload: dict) -> CSPInstance:
     Expected shape: a non-empty ``domain`` list without repeats, a
     non-empty ``constraints`` list of ``{"scope": [...], "allowed":
     [[...]]}`` objects, and an optional explicit ``variables`` list
-    (defaults to the scope variables in first-occurrence order).
-    Python equates ``true`` with ``1``, so those two are a repeat too.
+    (defaults to the scope variables in first-occurrence order); every
+    value in them is a JSON scalar. Python equates ``true`` with ``1``,
+    so those two are a repeat too.
     """
     domain = payload.get("domain")
     if not isinstance(domain, list) or not domain:
         raise SchemaError("solve payload needs a non-empty 'domain' list")
+    _require_scalars(domain, "solve 'domain'")
     values: set = set()
     for value in domain:
         if value in values:
@@ -123,13 +131,15 @@ def csp_from_payload(payload: dict) -> CSPInstance:
     constraints = []
     scope_order: list = []
     seen: set = set()
-    for entry in constraints_payload:
+    for index, entry in enumerate(constraints_payload):
         if not isinstance(entry, dict):
             raise SchemaError(f"constraint entry must be an object, got {entry!r}")
         _require_keys(entry, "constraint entry", ("scope", "allowed"))
         scope, allowed = entry["scope"], entry["allowed"]
         _require_list(scope, "constraint 'scope'")
+        _require_scalars(scope, f"constraint {index} 'scope'")
         _require_list(allowed, "constraint 'allowed'", list)
+        _require_scalar_rows(allowed, f"constraint {index} 'allowed'")
         constraints.append(Constraint(tuple(scope), (tuple(t) for t in allowed)))
         for variable in scope:
             if variable not in seen:
@@ -137,6 +147,7 @@ def csp_from_payload(payload: dict) -> CSPInstance:
                 scope_order.append(variable)
     variables = payload.get("variables", scope_order)
     _require_list(variables, "solve 'variables'")
+    _require_scalars(variables, "solve 'variables'")
     return CSPInstance(variables, domain, constraints)
 
 
@@ -497,7 +508,7 @@ class QueryService:
             "plan_cache": {"hit": was_hit, "key": plan.key},
             "metrics": core["metrics"],
         }
-        for field in ("answers", "count", "nonempty", "semiring", "aggregate"):
+        for field in ("count", "nonempty", "semiring", "aggregate"):
             if field in core:
                 result[field] = core[field]
         extras = {
@@ -509,7 +520,8 @@ class QueryService:
             "shard": core["shard"],
             "source": source,
         }
-        return 200, json_response_bytes(200, result), extras
+        body = json_response_bytes(200, result, answers=core.get("answers"))
+        return 200, body, extras
 
     async def _evaluate_leader(
         self, database, spec: dict, request_id: str

@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 
 from ..errors import SchemaError
 from ..relational.database import Database
-from ..relational.kernels import BACKENDS
+from ..relational.kernels import BACKENDS, SCALAR_TYPES
 from ..relational.relation import Relation
 
 
@@ -66,6 +66,37 @@ def _require_list(value, what: str, item: type | None = None) -> None:
     raise SchemaError(f"{what} must be {shape}, got {value!r}")
 
 
+def _require_scalars(values: list, what: str) -> None:
+    """Raise :class:`SchemaError` unless every item of the list
+    ``values`` is a JSON scalar, naming the first that is not and its
+    position.
+
+    JSON scalars (:data:`~repro.relational.kernels.SCALAR_TYPES`) are
+    the only values a relation's tuples and a ``/solve`` domain, scope,
+    variable list or allowed row may hold: a list or object is not
+    hashable, and the answer writer ranks only scalars.
+    """
+    if SCALAR_TYPES.issuperset(map(type, values)):
+        return
+    position, value = next(
+        (i, v) for i, v in enumerate(values) if type(v) not in SCALAR_TYPES
+    )
+    raise SchemaError(
+        f"{what} must hold only JSON scalars (strings, numbers, booleans, "
+        f"null), got {value!r} at position {position}"
+    )
+
+
+def _require_scalar_rows(rows: list[list], what: str) -> None:
+    """:func:`_require_scalars` for each row of ``rows``, whose error
+    names the row: one pass over every value's type, and only a
+    rejected payload pays to find the row."""
+    if set(map(type, chain.from_iterable(rows))) <= SCALAR_TYPES:
+        return
+    for index, row in enumerate(rows):
+        _require_scalars(row, f"{what} row {index}")
+
+
 def _require_keys(
     entry: dict, what: str, required: tuple[str, ...], optional: tuple[str, ...] = ()
 ) -> None:
@@ -87,8 +118,8 @@ def database_from_payload(payload: list[dict], backend: str = "columnar") -> Dat
     """Build a :class:`Database` from a relations payload.
 
     Each entry has exactly a string ``name``, ``attributes`` as a list
-    of strings and ``tuples`` as a list of lists; anything else is a
-    :class:`SchemaError`, never coerced.
+    of strings and ``tuples`` as a list of lists of JSON scalars;
+    anything else is a :class:`SchemaError`, never coerced.
     """
     if not isinstance(payload, list) or not payload:
         raise SchemaError("relations payload must be a non-empty list")
@@ -102,9 +133,9 @@ def database_from_payload(payload: list[dict], backend: str = "columnar") -> Dat
             raise SchemaError(f"relation 'name' must be a string, got {name!r}")
         _require_list(attributes, "relation 'attributes'", str)
         _require_list(tuples, "relation 'tuples'", list)
-        relations.append(
-            Relation(name, tuple(attributes), (tuple(t) for t in tuples))
-        )
+        _require_scalar_rows(tuples, f"relation {name!r}")
+        # ``Relation.add`` makes each row a tuple.
+        relations.append(Relation(name, tuple(attributes), tuples))
     return Database(relations, backend=backend)
 
 

@@ -279,7 +279,19 @@ def test_to_relation_decodes_values():
     view = _view(("a", "b"), codes)
     rel = to_relation(view, interner, "answer")
     assert rel.attributes == ("a", "b")
+    # Decoded on first read; len reads the view.
+    assert len(rel) == 2 and rel.codes is view
     assert sorted(rel.tuples) == [("u", 3), ("w", 4)]
+    assert rel.codes is None
+
+
+def test_to_relation_keeps_tuple_values_whole():
+    # Every value a 2-tuple: a decode table built by ``np.array`` would
+    # grow a second axis and hand back unhashable lists.
+    interner = Interner()
+    codes = [[interner.intern(v)] for v in [(1, 2), (3, 4)]]
+    rel = to_relation(_view(("a",), codes), interner, "answer")
+    assert sorted(rel.tuples) == [((1, 2),), ((3, 4),)]
 
 
 def test_with_backend_shares_data_and_validates():

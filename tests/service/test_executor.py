@@ -2,10 +2,12 @@
 protocol (driven in-process), and real spawned-pool dispatch."""
 
 import asyncio
+import json
 
 import pytest
 
 from repro.errors import ReproError
+from repro.relational.kernels import CodedRelation
 from repro.relational.query import Atom, JoinQuery
 from repro.relational.router import execute_route
 from repro.service.executor import (
@@ -18,6 +20,7 @@ from repro.service.executor import (
     evaluate_core,
     shard_for_fingerprint,
 )
+from repro.service.http import json_response_bytes
 from repro.service.plan_cache import PlanCache
 from repro.service.store import DatabaseStore, database_from_payload
 
@@ -93,7 +96,9 @@ class TestEvaluateCore:
         )
         assert core["route"] == direct.decision.route == spec["route"]
         assert core["ops"] == direct.ops
-        assert core["answers"] == canonical_answers(direct.relation.tuples)
+        # The core carries the answers as the JSON text the response
+        # splices in.
+        assert json.loads(core["answers"]) == canonical_answers(direct.relation.tuples)
         assert core["metrics"]["counters"]["route.wcoj"] == 1
         assert core["spans"]
 
@@ -115,6 +120,62 @@ class TestEvaluateCore:
         assert bool_core["nonempty"] is True
 
 
+PATH_ATOMS = [
+    {"relation": "R1", "attributes": ["a1", "a2"]},
+    {"relation": "R3", "attributes": ["a2", "a3"]},
+]
+
+
+class TestCodedAnswers:
+    """On the columnar backend evaluate_core writes the answers from
+    their interned codes: it decodes no answer, and the response
+    splices its text in where the sorted-key encoder puts ``answers``.
+    (The factorized build decodes its reduced projections, which are
+    linear in the data, to bucket them.)"""
+
+    @pytest.mark.parametrize(
+        "atoms, free, route",
+        [
+            (PATH_ATOMS, None, "factorized"),
+            (PATH_ATOMS, ["a1", "a3"], "yannakakis"),
+            (TRIANGLE_ATOMS, None, "wcoj"),
+        ],
+    )
+    def test_evaluate_core_decodes_no_answer(self, monkeypatch, atoms, free, route):
+        store = DatabaseStore()
+        store.register("demo", RELATIONS)
+        spec = build_spec(store, "demo", atoms, free=free)
+        assert spec["route"] == route
+        query = JoinQuery(Atom(a["relation"], tuple(a["attributes"])) for a in atoms)
+        direct = execute_route(query, database_from_payload(RELATIONS), free=free)
+        expected = canonical_answers(direct.relation.tuples)
+
+        decode = CodedRelation._decode
+
+        def refuse(relation):
+            assert relation.name != "answer", f"decoded {relation!r}"
+            return decode(relation)
+
+        monkeypatch.setattr(CodedRelation, "_decode", refuse)
+        core = evaluate_core(store.get("demo"), spec, track="t")
+        assert json.loads(core["answers"]) == expected
+        assert core["answers"] == json.dumps(expected)
+
+    def test_spliced_body_equals_encoding_the_lists(self):
+        store = DatabaseStore()
+        store.register("demo", RELATIONS)
+        core = evaluate_core(
+            store.get("demo"), build_spec(store, "demo", PATH_ATOMS), track="t"
+        )
+        envelope = {"request_id": "r000001", "ops": core["ops"], "metrics": core["metrics"]}
+        spliced = json_response_bytes(200, envelope, answers=core["answers"])
+        whole = dict(envelope, answers=json.loads(core["answers"]))
+        assert spliced == json_response_bytes(200, whole)
+        assert json_response_bytes(200, {}, answers="[]") == json_response_bytes(
+            200, {"answers": []}
+        )
+
+
 class TestWorkerProtocolInProcess:
     """Drive the worker-side functions directly — no pool needed to
     cover the replica/staleness state machine."""
@@ -134,9 +195,9 @@ class TestWorkerProtocolInProcess:
         result = _worker_run_query(spec)
         assert "stale" not in result
         assert result["route"] == spec["route"]
-        assert result["answers"] == evaluate_core(
-            store.get("demo"), spec, track="x"
-        )["answers"]
+        assert json.loads(result["answers"]) == json.loads(
+            evaluate_core(store.get("demo"), spec, track="x")["answers"]
+        )
         assert _apply_drop("demo") is True
         assert _apply_drop("demo") is False
 
@@ -175,7 +236,11 @@ class TestShardedDispatch:
                 core = await executor.dispatch(spec, "r1")
                 assert core is not None
                 assert core["shard"] == owner
+                # The worker ships the answers as their JSON text, one
+                # string, not a pickled list of lists.
+                assert isinstance(core["answers"], str)
                 assert core["answers"] == inline["answers"]
+                assert json.loads(core["answers"]) == json.loads(inline["answers"])
                 assert core["ops"] == inline["ops"]
 
                 # Re-registration changes the fingerprint; a spec built
@@ -188,7 +253,7 @@ class TestShardedDispatch:
                 assert fresh["fingerprint"] != spec["fingerprint"]
                 fresh_core = await executor.dispatch(fresh, "r2")
                 assert fresh_core is not None
-                assert fresh_core["answers"] != core["answers"]
+                assert json.loads(fresh_core["answers"]) != json.loads(core["answers"])
                 new_owner = executor.shard_for(fresh["fingerprint"])
                 payload = executor.to_payload()
                 owners = [

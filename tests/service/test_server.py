@@ -404,6 +404,46 @@ class TestMisspeltKeys:
             assert repr(key) in payload["error"], (path, key, payload)
 
 
+def _registration(tuples) -> dict:
+    return {"name": "bad", "relations": [dict(RELATIONS[0], tuples=tuples)]}
+
+
+def _solve(domain=(0, 1), scope=("x",), allowed=((0,),), **extra) -> dict:
+    constraint = {"scope": list(scope), "allowed": [list(row) for row in allowed]}
+    return {"domain": list(domain), "constraints": [constraint], **extra}
+
+
+#: (endpoint, payload, what its 400 must name). Each payload holds a
+#: list or an object where only JSON scalars belong.
+NON_SCALAR_VALUES = [
+    ("/databases", _registration([[1, 2], [[1], 2]]), ("'R1'", "row 1", "[1]")),
+    ("/databases", _registration([[{"x": 1}, 2]]), ("'R1'", "row 0", "{'x': 1}")),
+    ("/solve", _solve(domain=[[0], [1]]), ("'domain'", "[0]")),
+    ("/solve", _solve(scope=[["x"]]), ("'scope'", "['x']")),
+    ("/solve", _solve(allowed=[[[0]]]), ("'allowed'", "row 0", "[0]")),
+    ("/solve", _solve(variables=[["x"]]), ("'variables'", "['x']")),
+]
+
+
+class TestNonScalarValues:
+    def test_every_non_scalar_value_is_a_400_naming_it(self):
+        async def body(service, host, port, client):
+            responses = [
+                await client.request("POST", path, payload)
+                for path, payload, _ in NON_SCALAR_VALUES
+            ]
+            return responses, service.store.names()
+
+        responses, names = run_service(body)
+        for (path, _, named), (status, payload) in zip(NON_SCALAR_VALUES, responses):
+            assert status == 400, (path, payload)
+            # Validation rejects it, not an unhashable-type TypeError.
+            assert "JSON scalars" in payload["error"], (path, payload)
+            for words in named:
+                assert words in payload["error"], (path, words, payload)
+        assert "bad" not in names
+
+
 class TestStringShapedLists:
     """A string iterates like a list of its characters; the decoders
     reject it instead of reading ``"xy"`` as ``["x", "y"]``."""

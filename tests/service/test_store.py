@@ -87,6 +87,16 @@ class TestDatabaseStore:
                     "demo", [dict(relations()[0], tuples=tuples)]
                 )
 
+    def test_tuple_values_must_be_json_scalars(self):
+        # A list or object is unhashable: named by validation, not
+        # left to raise TypeError from the relation's set.
+        for tuples, row in (([[1, 2], [[1], 2]], "row 1"), ([[{"x": 1}, 2]], "row 0")):
+            with pytest.raises(SchemaError, match=f"relation 'R1' {row} must hold only JSON"):
+                DatabaseStore().register("demo", relations(tuples))
+        store = DatabaseStore()
+        store.register("demo", relations([["x", 1.5], [True, None]]))
+        assert ("x", 1.5) in store.get("demo").relation("R1").tuples
+
     def test_persistence_roundtrip(self, tmp_path):
         directory = tmp_path / "catalog"
         store = DatabaseStore(directory=directory)
