@@ -8,9 +8,11 @@ The parallel runner executes experiment payloads in worker processes
   a module-level container or rebinds a ``global``: each worker mutates
   its *own copy* of the module, the parent never sees it, and results
   differ between serial and parallel runs. Entry points are collected
-  from ``pool.submit(fn, ...)`` / ``pool.map(fn, ...)`` *and* from
-  ``loop.run_in_executor(pool, fn, ...)`` — the sharded service
-  executor dispatches worker functions through the latter. Note the
+  from ``pool.submit(fn, ...)`` / ``pool.map(fn, ...)`` and from
+  ``loop.run_in_executor(pool, fn, ...)``. The sharded service
+  executor dispatches its worker functions through the first form: its
+  per-shard socket transport runs them via ``worker.submit(fn, ...)``,
+  not through a pool or ``run_in_executor``. Note the
   scope: raw module-level *containers* (dicts/lists/sets) are flagged;
   worker-resident state held behind a dedicated state class applied
   through an explicit replication protocol (the

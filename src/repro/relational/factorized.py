@@ -181,7 +181,7 @@ class _AggState:
     ``projections[j]`` is top atom ``j`` projected onto its free
     interface and fully reduced (on the columnar backend a
     :class:`~repro.relational.kernels.CodedRelation`, whose view
-    :meth:`FactorizedResult.materialize` joins); ``buckets[j]`` groups
+    :meth:`FactorizedResult.materialize` joins); :attr:`buckets` groups
     its tuples by
     ``key_attrs[j]``, the attributes it shares with its parent in the
     derived join forest ``(g_children, g_roots)``. Every reader of a
@@ -198,11 +198,46 @@ class _AggState:
     """
 
     projections: list[Relation]
-    buckets: list[dict[tuple, list[tuple]]]
     key_attrs: list[tuple[str, ...]]
     g_children: dict[int, list[int]]
     g_roots: list[int]
     plans: list[list[tuple[str, tuple[int, ...]]]] | None
+    _buckets: list[dict[tuple, list[tuple]]] | None = field(default=None, repr=False)
+
+    @property
+    def buckets(self) -> list[dict[tuple, list[tuple]]]:
+        """Per projection, its tuples grouped by ``key_attrs``; built on
+        first read. Only the tuple-level readers (:meth:`FactorizedResult.count`,
+        :meth:`~FactorizedResult.aggregate`, :meth:`~FactorizedResult.enumerate`
+        and the naive backend's :meth:`~FactorizedResult.materialize`)
+        read them, so a columnar materialize decodes no projection.
+
+        Complexity: O(‖projections‖), once.
+        """
+        if self._buckets is None:
+            self._buckets = []
+            for rel, shared in zip(self.projections, self.key_attrs):
+                key_of = _getter([rel.position(a) for a in shared])
+                bucket: dict[tuple, list[tuple]] = {}
+                for t in rel.tuples:
+                    bucket.setdefault(key_of(t), []).append(t)
+                self._buckets.append(bucket)
+        return self._buckets
+
+
+def _distinct_keys(rel: Relation, shared: tuple[str, ...]) -> int:
+    """The number of distinct ``shared`` keys among ``rel``'s tuples:
+    its buckets. A coded projection counts the groups of its view's key
+    columns (:func:`~repro.relational.kernels.group_rows`) and decodes
+    nothing.
+
+    Complexity: O(|rel| log |rel|) coded, O(|rel|) otherwise.
+    """
+    positions = [rel.position(a) for a in shared]
+    codes = rel.codes if isinstance(rel, kernels.CodedRelation) else None
+    if codes is not None:
+        return len(kernels.group_rows(codes.matrix[:, positions])[1])
+    return len(set(map(_getter(positions), rel.tuples)))
 
 
 @dataclass
@@ -445,8 +480,9 @@ def factorize(
         variables is not free-connex.
 
     Complexity: O(‖D‖ · |A|) construction — one semijoin sweep over the
-        extended join tree plus a full reducer and one bucketing pass
-        on the derived query — yielding O(‖D‖ · |A|) nodes.
+        extended join tree plus a full reducer and one key-counting pass
+        on the derived query — yielding O(‖D‖ · |A|) nodes. The buckets
+        are built, in one more pass, when a reader first needs them.
     """
     free_t = _validated_free(query, free)
     query.validate_against(database)
@@ -490,7 +526,8 @@ def factorize(
     # step of the free-connex construction), so a standard full reducer
     # makes every projection globally consistent. The columnar backend
     # reduces it on views and keeps each reduced projection as a coded
-    # relation: bucketing decodes it, materialize joins its view.
+    # relation: materialize joins its view, and only the bucket readers
+    # decode it.
     interfaces = [
         tuple(a for a in free_t if a in relations[t].attributes) for t in tops
     ]
@@ -512,11 +549,14 @@ def factorize(
             for j, view in enumerate(projections)
         ]
 
-    # Bucket each projection by the key it shares with its parent in
-    # the derived join tree: one union node per bucket, one product
+    # Key each projection by the attributes it shares with its parent in
+    # the derived join tree. Its buckets (:attr:`_AggState.buckets`) are
+    # the representation: one union node per distinct key, one product
     # node per tuple, linked to its tuples and to one bucket per child.
+    # They are built when a reader first asks for them; construction
+    # charges the op per tuple that bucketing costs, whichever reader
+    # comes.
     key_attrs: list[tuple[str, ...]] = []
-    buckets: list[dict[tuple, list[tuple]]] = []
     num_nodes = num_edges = 0
     for j, rel in enumerate(projections):
         if j in g_parent:
@@ -527,13 +567,8 @@ def factorize(
         else:
             shared = ()
         key_attrs.append(shared)
-        positions = [rel.position(a) for a in shared]
-        bucket: dict[tuple, list[tuple]] = {}
-        for t in rel.tuples:
-            charge(counter)
-            bucket.setdefault(tuple(t[p] for p in positions), []).append(t)
-        buckets.append(bucket)
-        num_nodes += len(bucket) + len(rel)
+        charge(counter, len(rel))
+        num_nodes += _distinct_keys(rel, shared) + len(rel)
         num_edges += len(rel) * (1 + len(g_children[j]))
     observe("factorized.drep_nodes", num_nodes)
 
@@ -570,7 +605,6 @@ def factorize(
         num_edges=num_edges,
         _state=_AggState(
             projections=projections,
-            buckets=buckets,
             key_attrs=key_attrs,
             g_children=g_children,
             g_roots=g_roots,

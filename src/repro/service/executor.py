@@ -11,9 +11,20 @@ module supplies the machinery:
   :class:`~repro.service.store.DatabaseStore` entries across ``N``
   worker processes by content *fingerprint* (the same SHA-256 the
   plan cache keys on): ``shard(D) = int(fingerprint, 16) mod N``.
-  Each shard is a ``ProcessPoolExecutor(max_workers=1)`` — one warm
-  process whose FIFO queue doubles as the shard's consistency order
-  (a replication submitted before a query is applied before it).
+  Each shard is one warm process and one :func:`socket.socketpair`.
+* **Transport** — a call is one length-prefixed pickled ``(fn, args)``
+  frame. The worker (:func:`_worker_main`) runs its calls one at a
+  time, in arrival order, and answers each with one frame,
+  ``(True, result)`` or ``(False, exception)``. In the parent,
+  :meth:`_Worker.submit` writes the frame and appends a future to the
+  shard's FIFO deque with no ``await`` in between, and one reader task
+  per shard, on the event loop, resolves the deque's oldest future
+  with each reply. So replies come back in the order the worker ran
+  the calls, and the shard's stream is its consistency order: a
+  replication sent before a query is applied before it. A waiter
+  cancelled mid-call leaves its future in the deque, cancelled, and
+  its reply is read and dropped. The parent runs no thread for this
+  (DESIGN.md, "Sharded execution", says why there is no pool).
 * **Replication** — the owning worker holds a replica of each of its
   databases (:data:`_SHARD`), built from the store's canonical
   payload and keyed by fingerprint; a re-registration changes the
@@ -23,19 +34,26 @@ module supplies the machinery:
   interners built for the first query of a shape stay warm inside
   the worker exactly as they do in the parent.
 * **Dispatch** — :meth:`ShardedExecutor.dispatch` runs
-  :func:`evaluate_core` in the owning worker via
-  ``loop.run_in_executor``, keeping the event loop free to parse and
-  admit other requests while all cores evaluate. A transport failure
-  (stale after retry, broken pool, pickling) returns ``None`` and the
-  caller falls back to inline evaluation; an evaluation error comes
-  back as the worker's result and is re-raised once, as inline
-  evaluation raises it — ``--workers 0`` never creates a pool at all,
-  preserving the single-process behavior byte for byte.
+  :func:`evaluate_core` in the owning worker, keeping the event loop
+  free to parse and admit other requests while all cores evaluate. A
+  transport failure (stale after retry, EOF, ``OSError``, a frame that
+  does not pickle) returns ``None``, counts ``executor.errors``, and
+  the caller falls back to inline evaluation; an evaluation error
+  comes back as the worker's result and is re-raised once, as inline
+  evaluation raises it — ``--workers 0`` never starts a worker at
+  all, preserving the single-process behavior byte for byte.
+* **Respawn** — EOF on a shard's socket (its worker died) fails every
+  call pending on it over to inline evaluation and marks the shard
+  dead. The next call to the shard spawns a fresh worker and counts
+  ``executor.restarts``; the fresh worker holds no replica, so the
+  dispatch's stale path re-replicates what it needs.
 
 Worker processes use the ``spawn`` start method: forking a process
-that already runs an event loop (and its helper threads) is the
-classic deadlock, and spawn also guarantees workers import this
-module fresh — their only state is the replica protocol below.
+that already runs an event loop is the classic deadlock, and spawn
+also guarantees workers import this module fresh — their only state
+is the replica protocol below. They are daemonic: closing the sockets
+(:meth:`ShardedExecutor.shutdown`) ends them without the loop waiting,
+and an exiting parent reaps, or terminates, what is left.
 
 Worker-resident state lives behind :class:`WorkerShard`, mutated only
 by the dispatch-protocol functions (:func:`_apply_register`,
@@ -49,11 +67,15 @@ version discipline).
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import multiprocessing
 import pickle
+import signal
+import socket
+import struct
 import traceback
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
 
 from ..counting import CostCounter
 from ..errors import ReproError
@@ -260,8 +282,198 @@ def _worker_run_query(spec: dict) -> dict | Exception:
 
 
 # ----------------------------------------------------------------------
+# transport — one socket per shard, length-prefixed pickled frames
+# ----------------------------------------------------------------------
+#: A frame's length prefix: the pickle's size, unsigned 64-bit big-endian.
+_HEADER = struct.Struct("!Q")
+
+#: What pickling an object that does not pickle raises.
+_PICKLING_ERRORS = (pickle.PicklingError, TypeError, AttributeError)
+
+#: What unpickling a frame whose objects cannot be rebuilt raises.
+_UNPICKLING_ERRORS = (
+    pickle.UnpicklingError, AttributeError, ImportError, TypeError, EOFError
+)
+
+
+def _frame(message) -> bytes:
+    """``message`` pickled, behind its length prefix.
+
+    A message that does not pickle raises :class:`pickle.PicklingError`,
+    which the parent treats as a transport failure.
+
+    Complexity: O(size of the pickle).
+    """
+    try:
+        body = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+    except _PICKLING_ERRORS as exc:
+        raise pickle.PicklingError(f"frame does not pickle: {exc!r}") from exc
+    return _HEADER.pack(len(body)) + body
+
+
+def _unframe(body: bytes):
+    """The message a frame's body holds. A body that does not unpickle
+    raises :class:`pickle.UnpicklingError`.
+
+    Complexity: O(len(body)).
+    """
+    try:
+        return pickle.loads(body)
+    except _UNPICKLING_ERRORS as exc:
+        raise pickle.UnpicklingError(f"frame does not unpickle: {exc!r}") from exc
+
+
+def _answer(body: bytes) -> bytes:
+    """The reply frame to the call frame ``body``: ``(True, fn(*args))``,
+    or ``(False, exc)`` when the call raised a library error or a frame
+    did not pickle. Anything else the call raises is a bug: it ends the
+    worker, whose death the parent handles as a transport failure.
+
+    Complexity: the call's, plus O(size of both frames).
+    """
+    try:
+        fn, args = _unframe(body)
+        return _frame((True, fn(*args)))
+    except (ReproError, pickle.PickleError) as exc:
+        return _frame((False, exc))
+
+
+def _worker_main(sock: socket.socket) -> None:
+    """A shard worker's life: answer the call frames read from ``sock``,
+    one at a time and in order, until the parent closes its end.
+
+    SIGINT is ignored: a terminal's Ctrl-C reaches the whole process
+    group, and the parent, which owns shutdown, closes the socket.
+
+    Complexity: the calls', plus O(bytes read and written).
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    with sock, sock.makefile("rb") as stream:
+        try:
+            while len(header := stream.read(_HEADER.size)) == _HEADER.size:
+                (size,) = _HEADER.unpack(header)
+                sock.sendall(_answer(stream.read(size)))
+        except OSError:
+            pass  # the parent closed its end mid-reply
+
+
+# ----------------------------------------------------------------------
 # parent side
 # ----------------------------------------------------------------------
+class _Worker:
+    """One shard's spawned worker process and the parent's end of its
+    socket, read by one reader task on the event loop.
+
+    ``alive`` turns false, for good, when the reader sees EOF or the
+    parent closes the socket; the executor then spawns a new worker.
+    """
+
+    def __init__(self, process, reader, writer) -> None:
+        self.process = process
+        self.alive = True
+        self._reader = reader
+        self._writer = writer
+        #: Futures of the calls sent and not yet answered, oldest first.
+        self._pending: deque[asyncio.Future] = deque()
+        self._task = asyncio.get_running_loop().create_task(self._read_replies())
+
+    @classmethod
+    async def spawn(cls, context) -> _Worker:
+        """Start a worker in ``context`` and connect to it.
+
+        Returns once the process is started, not booted: the first
+        call's reply waits for the boot, so workers spawned one after
+        another boot concurrently.
+
+        Complexity: O(1) in the parent; the worker's boot is an
+        interpreter start and an import.
+        """
+        ours, theirs = socket.socketpair()
+        with theirs:
+            # The worker gets its own copy of ``theirs``. Closing the
+            # parent's is what turns the worker's death into EOF on ``ours``.
+            process = context.Process(target=_worker_main, args=(theirs,), daemon=True)
+            process.start()
+        reader, writer = await asyncio.open_connection(sock=ours)
+        return cls(process, reader, writer)
+
+    async def submit(self, fn, *args):
+        """Run ``fn(*args)`` in the worker; returns its result or raises
+        what it raised, and :class:`EOFError` once the worker is gone.
+
+        The frame is written and its future queued with no ``await`` in
+        between, so calls reach the worker, and replies their futures,
+        in call order. ``drain`` applies the socket's flow control to
+        large frames (a replication payload).
+
+        Complexity: O(size of both frames) in the parent, plus the call
+        in the worker.
+        """
+        if not self.alive:
+            raise EOFError("the shard worker is gone")
+        frame = _frame((fn, args))
+        future = asyncio.get_running_loop().create_future()
+        self._writer.write(frame)
+        self._pending.append(future)
+        try:
+            await self._writer.drain()
+        except OSError:
+            pass  # the connection is lost: the reader fails the future
+        except asyncio.CancelledError:
+            future.cancel()  # the reader drops its reply
+            raise
+        return await future
+
+    async def _read_replies(self) -> None:
+        """Resolve the pending futures, oldest first, with the worker's
+        replies. On EOF or a socket error, mark the worker dead, close the
+        socket and fail every call still pending with :class:`EOFError`.
+
+        Complexity: O(bytes read) over the worker's life.
+        """
+        pending, reader = self._pending, self._reader
+        try:
+            while True:
+                header = await reader.readexactly(_HEADER.size)
+                body = await reader.readexactly(_HEADER.unpack(header)[0])
+                future = pending.popleft()
+                if future.done():
+                    continue  # its waiter was cancelled
+                try:
+                    ok, value = _unframe(body)
+                except pickle.UnpicklingError as exc:
+                    future.set_exception(exc)
+                    continue
+                if ok:
+                    future.set_result(value)
+                else:
+                    future.set_exception(value)
+        except (asyncio.IncompleteReadError, OSError):
+            pass
+        finally:
+            self.alive = False
+            self._writer.close()
+            while pending:
+                future = pending.popleft()
+                if not future.done():
+                    future.set_exception(EOFError("the shard worker exited"))
+
+    def close(self) -> None:
+        """Shut the parent's end down now, without waiting: the worker
+        reads EOF and exits, and the reader fails what is pending.
+
+        ``writer.close()`` alone would close the socket only on the
+        loop's next iteration, so a parent that stops right after would
+        leave the worker waiting for EOF.
+
+        Complexity: O(1).
+        """
+        self.alive = False
+        with contextlib.suppress(OSError):
+            self._writer.get_extra_info("socket").shutdown(socket.SHUT_RDWR)
+        self._writer.close()
+
+
 class ShardedExecutor:
     """Partition a store across N warm worker processes by fingerprint."""
 
@@ -276,7 +488,9 @@ class ShardedExecutor:
         self.store = store
         self.workers = workers
         self.registry = registry if registry is not None else MetricsRegistry()
-        self._pools: list[ProcessPoolExecutor] = []
+        self._context = multiprocessing.get_context("spawn")
+        self._workers: list[_Worker] = []
+        self._respawn: asyncio.Lock | None = None
         self._assignments: dict[str, tuple[str, int]] = {}
         self._dispatched: list[int] = [0] * workers
         self._started = False
@@ -289,26 +503,46 @@ class ShardedExecutor:
         return shard_for_fingerprint(fingerprint, self.workers)
 
     async def start(self) -> None:
-        """Create and warm the shard pools, then replicate the store.
+        """Spawn and warm the shard workers, then replicate the store.
 
-        Warm-up pings all shards concurrently, so boot pays one spawn
-        latency, not N. Idempotent.
+        Every worker is started before any is waited for, so boot pays
+        one spawn latency, not N. Idempotent.
         """
         if self._started:
             return
-        context = multiprocessing.get_context("spawn")
-        self._pools = [
-            ProcessPoolExecutor(max_workers=1, mp_context=context)
-            for _ in range(self.workers)
-        ]
-        loop = asyncio.get_running_loop()
+        self._respawn = asyncio.Lock()
+        self._workers = []
+        for _ in range(self.workers):
+            self._workers.append(await _Worker.spawn(self._context))
         await asyncio.gather(
-            *(loop.run_in_executor(pool, _worker_ping) for pool in self._pools)
+            *(worker.submit(_worker_ping) for worker in self._workers)
         )
         self._started = True
         self.registry.gauge("executor.workers").set(self.workers)
         for name in self.store.names():
             await self.replicate(name)
+
+    async def _worker(self, shard: int) -> _Worker:
+        """``shard``'s worker, spawned afresh first if the last one died.
+
+        Concurrent callers share one respawn. Raises :class:`EOFError`
+        after :meth:`shutdown`.
+
+        Complexity: O(1), or one worker spawn.
+        """
+        if not self._started:
+            raise EOFError("the executor is shut down")
+        worker = self._workers[shard]
+        if worker.alive:
+            return worker
+        async with self._respawn:
+            worker = self._workers[shard]
+            if not worker.alive and self._started:
+                worker = self._workers[shard] = await _Worker.spawn(self._context)
+                self.registry.counter("executor.restarts").inc()
+                if not self._started:
+                    worker.close()  # the executor shut down while it spawned
+        return worker
 
     async def replicate(self, name: str) -> int:
         """Ship ``name``'s current content to its owning shard.
@@ -319,18 +553,16 @@ class ShardedExecutor:
         payload = self.store.canonical_payload(name)
         fingerprint = self.store.fingerprint(name)
         shard = self.shard_for(fingerprint)
-        loop = asyncio.get_running_loop()
         previous = self._assignments.get(name)
-        await loop.run_in_executor(
-            self._pools[shard],
-            _apply_register,
-            name,
-            payload,
-            fingerprint,
-            self.store.backend,
+        worker = await self._worker(shard)
+        await worker.submit(
+            _apply_register, name, payload, fingerprint, self.store.backend
         )
         if previous is not None and previous[1] != shard:
-            await loop.run_in_executor(self._pools[previous[1]], _apply_drop, name)
+            # A dead previous owner holds no replica to drop.
+            owner = self._workers[previous[1]]
+            if owner.alive:
+                await owner.submit(_apply_drop, name)
         self._assignments[name] = (fingerprint, shard)
         self.registry.counter("executor.replications").inc()
         return shard
@@ -339,13 +571,13 @@ class ShardedExecutor:
         """Run one evaluation in the owning worker; ``None`` = fall back.
 
         The spec's fingerprint decides the shard. A stale replica is
-        re-replicated and the dispatch retried once — the one race this
-        covers is a re-registration landing between the parent reading
-        the fingerprint and the worker dequeuing the job. A transport
-        failure degrades to ``None`` so the caller can evaluate inline;
-        the service never fails a request because a worker did. An
-        evaluation error is re-raised here, once, as inline evaluation
-        would raise it.
+        re-replicated and the dispatch retried once — this covers a
+        re-registration landing between the parent reading the
+        fingerprint and the worker running the call, and a respawned
+        worker, which holds no replica. A transport failure degrades to
+        ``None`` so the caller can evaluate inline; the service never
+        fails a request because a worker did. An evaluation error is
+        re-raised here, once, as inline evaluation would raise it.
         """
         if not self._started:
             return None
@@ -353,28 +585,24 @@ class ShardedExecutor:
         fingerprint = spec["fingerprint"]
         shard = self.shard_for(fingerprint)
         worker_spec = dict(spec, track=f"{request_id}@w{shard}")
-        loop = asyncio.get_running_loop()
         try:
+            worker = await self._worker(shard)
             assigned = self._assignments.get(name)
             if assigned is None or assigned[0] != fingerprint:
                 await self.replicate(name)
-            result = await loop.run_in_executor(
-                self._pools[shard], _worker_run_query, worker_spec
-            )
+            result = await worker.submit(_worker_run_query, worker_spec)
             if isinstance(result, dict) and result.get("stale"):
                 self.registry.counter("executor.stale_retries").inc()
                 await self.replicate(name)
-                result = await loop.run_in_executor(
-                    self._pools[shard], _worker_run_query, worker_spec
-                )
+                result = await worker.submit(_worker_run_query, worker_spec)
             if isinstance(result, dict) and result.get("stale"):
                 self.registry.counter("executor.inline_fallbacks").inc()
                 return None
-        except (RuntimeError, OSError, EOFError, pickle.PickleError):
-            # Worker crash (BrokenProcessPool is a RuntimeError), pool
-            # shut down mid-dispatch, transport/pickling failure:
-            # degrade to inline evaluation rather than fail the request.
-            # Evaluation errors never land here: the worker returns them.
+        except (OSError, EOFError, pickle.PickleError):
+            # The worker died (EOF), the socket failed, a frame did not
+            # pickle, or the executor shut down mid-dispatch: degrade to
+            # inline evaluation rather than fail the request. Evaluation
+            # errors never land here: the worker returns them.
             self.registry.counter("executor.errors").inc()
             return None
         if isinstance(result, Exception):
@@ -385,11 +613,11 @@ class ShardedExecutor:
         return result
 
     def shutdown(self) -> None:
-        """Tear the pools down without waiting for queued work."""
-        for pool in self._pools:
-            pool.shutdown(wait=False, cancel_futures=True)
-        self._pools = []
+        """Close every worker's socket, without waiting: each worker
+        reads EOF and exits, and calls still pending fall back inline."""
         self._started = False
+        for worker in self._workers:
+            worker.close()
 
     def to_payload(self) -> dict:
         """The ``/metrics`` view: shard ownership and dispatch counts."""

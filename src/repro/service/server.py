@@ -240,7 +240,7 @@ class QueryService:
         return sockname[0], sockname[1]
 
     async def ensure_executor(self) -> None:
-        """Warm the worker pools (no-op when ``workers=0`` or already
+        """Warm the shard workers (no-op when ``workers=0`` or already
         warm). Socketless callers that use :meth:`dispatch` directly
         must await this before the first query."""
         if self.executor is not None and not self.executor.started:

@@ -87,14 +87,50 @@ def _require_scalars(values: list, what: str) -> None:
     )
 
 
-def _require_scalar_rows(rows: list[list], what: str) -> None:
+def _require_scalar_rows(rows: list[list], what: str) -> set[type]:
     """:func:`_require_scalars` for each row of ``rows``, whose error
     names the row: one pass over every value's type, and only a
-    rejected payload pays to find the row."""
-    if set(map(type, chain.from_iterable(rows))) <= SCALAR_TYPES:
-        return
+    rejected payload pays to find the row. Returns the value types."""
+    types = set(map(type, chain.from_iterable(rows)))
+    if types <= SCALAR_TYPES:
+        return types
     for index, row in enumerate(rows):
         _require_scalars(row, f"{what} row {index}")
+    return types
+
+
+#: The value types :func:`_require_distinct_values` compares.
+_NUMBER_TYPES = (int, float, bool)
+
+
+def _require_distinct_values(payload: list[dict]) -> None:
+    """Raise :class:`SchemaError` if two values of one database are
+    equal in Python but differ in type or ``repr``, naming the relation
+    and row of the second and both values.
+
+    JSON tells ``0``, ``false`` and ``-0.0`` apart, and ``1``, ``1.0``
+    and ``true``; Python equates each group, so the database's interner
+    would keep one value for all of them and the backends would answer
+    differently. Only numbers can clash.
+
+    Complexity: O(values in the payload).
+    """
+    seen: dict = {}
+    for entry in payload:
+        for index, row in enumerate(entry["tuples"]):
+            for value in row:
+                if type(value) not in _NUMBER_TYPES:
+                    continue
+                first = seen.setdefault(value, value)
+                if first is value or (
+                    type(first) is type(value) and repr(first) == repr(value)
+                ):
+                    continue
+                raise SchemaError(
+                    f"relation {entry['name']!r} row {index} holds {value!r}, "
+                    f"which equals {first!r} elsewhere in the database: values "
+                    "that JSON tells apart must not be equal in Python"
+                )
 
 
 def _require_keys(
@@ -118,12 +154,16 @@ def database_from_payload(payload: list[dict], backend: str = "columnar") -> Dat
     """Build a :class:`Database` from a relations payload.
 
     Each entry has exactly a string ``name``, ``attributes`` as a list
-    of strings and ``tuples`` as a list of lists of JSON scalars;
-    anything else is a :class:`SchemaError`, never coerced.
+    of strings and ``tuples`` as a list of lists of JSON scalars, and no
+    two values of the database are equal in Python but different in JSON
+    (:func:`_require_distinct_values`, checked only when the value types
+    allow a clash: a float, or a bool beside an int); anything else is a
+    :class:`SchemaError`, never coerced.
     """
     if not isinstance(payload, list) or not payload:
         raise SchemaError("relations payload must be a non-empty list")
     relations = []
+    types: set[type] = set()
     for entry in payload:
         if not isinstance(entry, dict):
             raise SchemaError(f"relation entry must be an object, got {entry!r}")
@@ -133,9 +173,11 @@ def database_from_payload(payload: list[dict], backend: str = "columnar") -> Dat
             raise SchemaError(f"relation 'name' must be a string, got {name!r}")
         _require_list(attributes, "relation 'attributes'", str)
         _require_list(tuples, "relation 'tuples'", list)
-        _require_scalar_rows(tuples, f"relation {name!r}")
+        types |= _require_scalar_rows(tuples, f"relation {name!r}")
         # ``Relation.add`` makes each row a tuple.
         relations.append(Relation(name, tuple(attributes), tuples))
+    if float in types or (bool in types and int in types):
+        _require_distinct_values(payload)
     return Database(relations, backend=backend)
 
 

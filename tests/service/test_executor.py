@@ -1,8 +1,12 @@
 """Units for the sharded executor: shard math, the worker replica
-protocol (driven in-process), and real spawned-pool dispatch."""
+protocol (driven in-process), and real dispatch to spawned workers over
+their sockets: ordering, large frames, cancellation and respawn."""
 
 import asyncio
 import json
+import os
+import signal
+import threading
 
 import pytest
 
@@ -10,6 +14,8 @@ from repro.errors import ReproError
 from repro.relational.kernels import CodedRelation
 from repro.relational.query import Atom, JoinQuery
 from repro.relational.router import execute_route
+from repro.service import QueryService
+from repro.service.client import ServiceClient
 from repro.service.executor import (
     _SHARD,
     ShardedExecutor,
@@ -22,6 +28,7 @@ from repro.service.executor import (
 )
 from repro.service.http import json_response_bytes
 from repro.service.plan_cache import PlanCache
+from repro.service.server import strip_volatile
 from repro.service.store import DatabaseStore, database_from_payload
 
 EDGES = [[1, 2], [2, 3], [1, 3], [3, 4], [4, 1]]
@@ -130,8 +137,9 @@ class TestCodedAnswers:
     """On the columnar backend evaluate_core writes the answers from
     their interned codes: it decodes no answer, and the response
     splices its text in where the sorted-key encoder puts ``answers``.
-    (The factorized build decodes its reduced projections, which are
-    linear in the data, to bucket them.)"""
+    The factorized build decodes nothing at all: it counts its reduced
+    projections' keys from their views and buckets them only for a
+    reader that walks tuples."""
 
     @pytest.mark.parametrize(
         "atoms, free, route",
@@ -154,6 +162,7 @@ class TestCodedAnswers:
 
         def refuse(relation):
             assert relation.name != "answer", f"decoded {relation!r}"
+            assert route != "factorized", f"decoded {relation!r}"
             return decode(relation)
 
         monkeypatch.setattr(CodedRelation, "_decode", refuse)
@@ -177,7 +186,7 @@ class TestCodedAnswers:
 
 
 class TestWorkerProtocolInProcess:
-    """Drive the worker-side functions directly — no pool needed to
+    """Drive the worker-side functions directly — no worker needed to
     cover the replica/staleness state machine."""
 
     def teardown_method(self):
@@ -213,7 +222,7 @@ class TestWorkerProtocolInProcess:
 
 
 class TestShardedDispatch:
-    """One spawned-pool lifecycle test: start, replicate, dispatch,
+    """One spawned-worker lifecycle test: start, replicate, dispatch,
     re-register (fingerprint change), shutdown."""
 
     def test_dispatch_lifecycle(self):
@@ -267,9 +276,190 @@ class TestShardedDispatch:
                 assert counters["executor.dispatched"] == 2
                 assert counters["executor.replications"] >= 2
             finally:
+                processes = [worker.process for worker in executor._workers]
                 executor.shutdown()
             assert executor.started is False
             # After shutdown dispatch is a clean inline fallback again.
             assert await executor.dispatch(spec, "r3") is None
+            # Closing a worker's socket ends it.
+            for process in processes:
+                process.join(timeout=10)
+                assert not process.is_alive()
 
         asyncio.run(main())
+
+
+def run_with_executor(body, store: DatabaseStore, workers: int = 2):
+    """Start an executor over ``store``, run ``body(executor)``, shut it
+    down; the whole run times out after 120 s."""
+
+    async def main():
+        executor = ShardedExecutor(store, workers=workers)
+        await executor.start()
+        try:
+            return await body(executor)
+        finally:
+            executor.shutdown()
+
+    async def bounded():
+        return await asyncio.wait_for(main(), timeout=120)
+
+    return asyncio.run(bounded())
+
+
+def comparable(core: dict) -> dict:
+    """The fields of a core that do not depend on where it ran."""
+    return {
+        key: core[key]
+        for key in ("route", "reason", "ops", "answers", "count", "nonempty")
+        if key in core
+    }
+
+
+class TestSocketTransport:
+    def test_start_adds_no_thread(self):
+        store = DatabaseStore()
+        store.register("demo", RELATIONS)
+
+        async def main():
+            executor = ShardedExecutor(store, workers=2)
+            before = threading.active_count()
+            await executor.start()
+            try:
+                return before, threading.active_count()
+            finally:
+                executor.shutdown()
+
+        before, after = asyncio.run(main())
+        assert after == before
+
+    def test_megabyte_replication_and_answer_round_trip_intact(self):
+        rows = [[i, f"{i:06d}" + "x" * 1000] for i in range(1100)]
+        store = DatabaseStore()
+        store.register(
+            "big", [{"name": "R", "attributes": ["a", "b"], "tuples": rows}]
+        )
+        assert len(json.dumps(store.canonical_payload("big"))) >= 2**20
+        spec = build_spec(store, "big", [{"relation": "R", "attributes": ["a", "b"]}])
+
+        async def body(executor):
+            return await executor.dispatch(spec, "r1")
+
+        core = run_with_executor(body, store)
+        assert core is not None
+        assert len(core["answers"]) >= 2**20
+        inline = evaluate_core(store.get("big"), spec, track="r1")
+        assert core["answers"] == inline["answers"]
+        assert json.loads(core["answers"]) == canonical_answers(map(tuple, rows))
+
+    def test_concurrent_dispatches_each_get_their_own_result(self):
+        store = DatabaseStore()
+        for k in range(8):
+            store.register(
+                f"d{k}", [dict(r, tuples=EDGES + [[10 + k, 1]]) for r in RELATIONS]
+            )
+        specs = [
+            build_spec(store, name, atoms, mode=mode)
+            for name in store.names()
+            for atoms in (TRIANGLE_ATOMS, PATH_ATOMS)
+            for mode in ("enumerate", "count")
+        ] * 2
+        assert len(specs) == 64
+        assert {shard_for_fingerprint(s["fingerprint"], 2) for s in specs} == {0, 1}
+
+        async def body(executor):
+            return await asyncio.gather(
+                *(executor.dispatch(spec, f"r{i}") for i, spec in enumerate(specs))
+            )
+
+        cores = run_with_executor(body, store)
+        for i, (spec, core) in enumerate(zip(specs, cores)):
+            inline = evaluate_core(store.get(spec["database"]), spec, track=f"r{i}")
+            assert core is not None
+            assert comparable(core) == comparable(inline), i
+
+    def test_a_cancelled_waiter_does_not_shift_the_next_reply(self):
+        store = DatabaseStore()
+        store.register("demo", RELATIONS)
+        enumerate_spec = build_spec(store, "demo", TRIANGLE_ATOMS)
+        count_spec = build_spec(store, "demo", PATH_ATOMS, mode="count")
+        shard = shard_for_fingerprint(enumerate_spec["fingerprint"], 2)
+
+        async def body(executor):
+            worker = executor._workers[shard]
+            task = asyncio.ensure_future(executor.dispatch(enumerate_spec, "r1"))
+            for _ in range(1000):
+                if worker._pending:
+                    break
+                await asyncio.sleep(0)
+            assert worker._pending, "the first call was never sent"
+            task.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await task
+            core = await executor.dispatch(count_spec, "r2")
+            return core, len(worker._pending), executor.registry.to_payload()
+
+        core, pending, metrics = run_with_executor(body, store)
+        inline = evaluate_core(store.get("demo"), count_spec, track="r2")
+        assert comparable(core) == comparable(inline)
+        assert "answers" not in core
+        assert pending == 0
+        assert "executor.errors" not in metrics["counters"]
+
+
+class TestRespawn:
+    def test_a_killed_worker_is_respawned_and_its_queries_answer(self):
+        """SIGKILL the worker that owns ``demo``: every query to it still
+        answers 200 with the inline body, the next dispatch spawns a
+        fresh worker that the stale path re-replicates, and ``stop()``
+        leaves no process."""
+        query = {"database": "demo", "atoms": TRIANGLE_ATOMS, "mode": "count"}
+
+        async def answers(client, count):
+            bodies = []
+            for _ in range(count):
+                status, payload = await client.request("POST", "/query", query)
+                assert status == 200, payload
+                bodies.append(strip_volatile(payload))
+            return bodies
+
+        async def main():
+            inline = QueryService(workers=0)
+            host, port = await inline.start()
+            try:
+                async with ServiceClient(host, port) as client:
+                    await client.register("demo", RELATIONS)
+                    [expected] = await answers(client, 1)
+            finally:
+                await inline.stop()
+
+            service = QueryService(workers=2)
+            host, port = await service.start()
+            counters = service.telemetry.registry.counter_value
+            try:
+                async with ServiceClient(host, port) as client:
+                    await client.register("demo", RELATIONS)
+                    assert await answers(client, 1) == [expected]
+                    executor = service.executor
+                    shard = executor.shard_for(service.store.fingerprint("demo"))
+                    victim = executor._workers[shard].process
+                    os.kill(victim.pid, signal.SIGKILL)
+                    victim.join(timeout=10)
+                    assert not victim.is_alive()
+                    dispatched = counters("executor.dispatched")
+                    assert await answers(client, 3) == [expected] * 3
+                    assert counters("executor.dispatched") >= dispatched + 2
+                    assert counters("executor.restarts") == 1
+                    assert counters("executor.errors") <= 1
+                    processes = [worker.process for worker in executor._workers]
+                    assert victim not in processes
+            finally:
+                await service.stop()
+            return processes
+
+        async def bounded():
+            return await asyncio.wait_for(main(), timeout=120)
+
+        for process in asyncio.run(bounded()):
+            process.join(timeout=10)
+            assert not process.is_alive()

@@ -4,6 +4,8 @@ import asyncio
 import dataclasses
 import json
 
+import pytest
+
 from repro.counting import CostCounter
 from repro.relational.query import Atom, JoinQuery
 from repro.relational.router import execute_route
@@ -442,6 +444,58 @@ class TestNonScalarValues:
             for words in named:
                 assert words in payload["error"], (path, words, payload)
         assert "bad" not in names
+
+
+class TestValuesEqualInPythonOnly:
+    """JSON tells ``0``, ``false`` and ``-0.0`` apart, and ``1``, ``1.0``
+    and ``true``; Python equates them, so one database may not hold two
+    of a group: both backends answer 400 instead of answering
+    differently."""
+
+    CLASHING = [[0, 1], [False, 2], [1.0, 3], [True, 4], [-0.0, 5]]
+    ACCEPTED = {
+        "floats": [[0.5, 1.5], [2.5, -0.0], [1e16, 3.25]],
+        "booleans": [[True, False], [False, True]],
+        "ints-and-strings": [[1, "1"], ["a", 2], [3, "b"]],
+    }
+
+    def _register(self, backend: str, name: str, rows: list) -> list:
+        relations = [{"name": "R", "attributes": ["a", "b"], "tuples": rows}]
+        query = {"database": name, "atoms": [{"relation": "R", "attributes": ["a", "b"]}]}
+
+        async def main():
+            service = QueryService(backend=backend)
+            host, port = await service.start()
+            try:
+                async with ServiceClient(host, port) as client:
+                    status, payload = await client.request(
+                        "POST", "/databases", {"name": name, "relations": relations}
+                    )
+                    answered = await client.request("POST", "/query", query)
+                    return status, payload, answered
+            finally:
+                await service.stop()
+
+        return asyncio.run(main())
+
+    @pytest.mark.parametrize("backend", ["columnar", "naive"])
+    def test_equal_values_of_different_types_are_400(self, backend):
+        status, payload, (query_status, _) = self._register(backend, "mixed", self.CLASHING)
+        assert status == 400, payload
+        assert payload["error"] == (
+            "relation 'R' row 1 holds False, which equals 0 elsewhere in the "
+            "database: values that JSON tells apart must not be equal in Python"
+        )
+        assert query_status == 400  # nothing was registered
+
+    @pytest.mark.parametrize("backend", ["columnar", "naive"])
+    @pytest.mark.parametrize("kind", sorted(ACCEPTED))
+    def test_values_python_tells_apart_still_register(self, backend, kind):
+        rows = self.ACCEPTED[kind]
+        status, payload, (query_status, answered) = self._register(backend, kind, rows)
+        assert status == 200, payload
+        assert query_status == 200
+        assert answered["answers"] == canonical_answers(map(tuple, rows))
 
 
 class TestStringShapedLists:
