@@ -13,16 +13,23 @@ the six uniform-graph queries ``sharded`` sends, served by a
   the same specs in this process;
 
 (each spec's best of :data:`PASSES`, and the median over the specs);
-* dispatches per second with two in flight.
+* dispatches per second with two in flight;
+* what a registration costs: a graph the size of perfbench's write
+  probe (about 5,600 edges) registered through
+  :meth:`~repro.service.server.QueryService.dispatch` at ``workers=2``
+  and at ``workers=0``, each write followed at once by a query on it,
+  best of :data:`WRITES` with a pause after each.
 
 It fails if a dispatched evaluation core differs from the inline one
-(spans, which carry timings, the shard, and the shape of histograms
-that follow the interning order aside: see :func:`_comparable`), if ``start()``
-starts a thread, or if the median round trip exceeds the median inline
-evaluation by more than half of it. One row per query shape, and the
-medians, are merged into ``BENCH_kernels.json`` under
-``dispatch_sweep``. Sizes, seed and passes are fixed here; the bench
-reads no environment settings.
+(spans, which carry timings, and the shard aside), if ``start()``
+starts a thread, if the median round trip exceeds the median inline
+evaluation by more than half of it, if a registration at ``workers=2``
+costs more than :data:`MAX_WRITE_RATIO` inline ones, or if the query
+sent right after a registration does not answer the new content from
+the worker. One row per query shape, the medians and the registration
+rows are merged into ``BENCH_kernels.json`` under ``dispatch_sweep``.
+Sizes, seed and passes are fixed here; the bench reads no environment
+settings.
 """
 
 import asyncio
@@ -39,7 +46,9 @@ import numpy as np
 
 from benchmarks.bench_decomposition import regular_digraph
 from repro.relational.query import Atom, JoinQuery
+from repro.service import QueryService
 from repro.service.executor import ShardedExecutor, _worker_ping, evaluate_core
+from repro.service.http import HttpRequest
 from repro.service.plan_cache import PlanCache
 from repro.service.store import DatabaseStore
 
@@ -52,6 +61,16 @@ PASSES = 15
 PINGS = 200
 #: A dispatch may cost at most this many inline evaluations.
 MAX_RATIO = 1.5
+#: The registration probe's graph: 5,600 edges, the size of perfbench's
+#: write probe.
+PROBE_VERTICES = 1400
+PROBE_DEGREE = 4
+WRITES = 9
+#: The pause after each write and its read: time for a worker to build
+#: its replica, so each write starts on an idle host.
+PAUSE_S = 0.15
+#: A registration at workers=2 may cost at most this many inline ones.
+MAX_WRITE_RATIO = 1.5
 OUT = Path(__file__).resolve().parents[1] / "BENCH_kernels.json"
 
 
@@ -104,18 +123,8 @@ def build_specs(store: DatabaseStore) -> list[tuple[str, dict]]:
 
 
 def _comparable(core: dict) -> dict:
-    """A core minus its spans, which carry timings, its shard, and its
-    histograms. Some histograms (``wcoj.probes_per_answer``) follow the
-    order of the interned codes, and a worker's replica interns the
-    store's canonical payload while the parent's database interned the
-    registration payload, so they differ in shape, not in sum."""
-    comparable = {k: v for k, v in core.items() if k not in ("spans", "shard")}
-    histograms = comparable["metrics"].get("histograms", {})
-    comparable["metrics"] = dict(
-        comparable["metrics"],
-        histograms={name: (h["count"], h["sum"]) for name, h in histograms.items()},
-    )
-    return comparable
+    """A core minus its spans, which carry timings, and its shard."""
+    return {k: v for k, v in core.items() if k not in ("spans", "shard")}
 
 
 async def measure(store: DatabaseStore, specs: list[tuple[str, dict]]) -> dict:
@@ -134,7 +143,8 @@ async def measure(store: DatabaseStore, specs: list[tuple[str, dict]]) -> dict:
         pings = []
         for _ in range(PINGS):
             start = time.perf_counter()
-            await executor._workers[0].submit(_worker_ping)
+            reply = await executor._workers[0].submit(_worker_ping)
+            await reply
             pings.append(time.perf_counter() - start)
 
         # Each spec's best of PASSES; every pass dispatches the specs one
@@ -179,6 +189,21 @@ def _ms(samples: list[float]) -> float:
     return statistics.median(samples) * 1e3
 
 
+def _merge_record(fields: dict) -> None:
+    """Merge ``fields`` into ``BENCH_kernels.json``'s ``dispatch_sweep``."""
+    record = json.loads(OUT.read_text()) if OUT.exists() else {}
+    record.setdefault("dispatch_sweep", {}).update(fields)
+    OUT.write_text(json.dumps(record, indent=2) + "\n")
+
+
+def _machine() -> dict:
+    return {
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+
+
 def test_dispatch_costs_at_most_half_an_evaluation_more():
     rng = random.Random(SEED)
     store = DatabaseStore()
@@ -210,30 +235,131 @@ def test_dispatch_costs_at_most_half_an_evaluation_more():
         f"ping {ping_ms:.3f} ms, dispatch {dispatch_ms:.2f} ms, inline "
         f"{inline_ms:.2f} ms, two in flight {result['two_in_flight_per_s']:.0f}/s"
     )
-    record = json.loads(OUT.read_text()) if OUT.exists() else {}
-    record["dispatch_sweep"] = {
-        "schema": "repro-bench-dispatch/1",
-        "workload": "perfbench sharded's queries on its graph shape, workers=2",
-        "graphs": {
-            "count": GRAPHS,
-            "vertices": VERTICES,
-            "in_out_degree": DEGREE,
-            "seed": SEED,
-        },
-        "machine": {
-            "cpus": os.cpu_count(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        },
-        "best_of_passes": PASSES,
-        "ping_ms": ping_ms,
-        "dispatch_ms": dispatch_ms,
-        "inline_evaluate_ms": inline_ms,
-        "two_in_flight_dispatches_per_s": result["two_in_flight_per_s"],
-        "rows": rows,
-    }
-    OUT.write_text(json.dumps(record, indent=2) + "\n")
+    _merge_record(
+        {
+            "schema": "repro-bench-dispatch/1",
+            "workload": "perfbench sharded's queries on its graph shape, workers=2",
+            "graphs": {
+                "count": GRAPHS,
+                "vertices": VERTICES,
+                "in_out_degree": DEGREE,
+                "seed": SEED,
+            },
+            "machine": _machine(),
+            "best_of_passes": PASSES,
+            "ping_ms": ping_ms,
+            "dispatch_ms": dispatch_ms,
+            "inline_evaluate_ms": inline_ms,
+            "two_in_flight_dispatches_per_s": result["two_in_flight_per_s"],
+            "rows": rows,
+        }
+    )
     assert dispatch_ms <= MAX_RATIO * inline_ms, (
         f"a dispatch round trip ({dispatch_ms:.2f} ms) exceeds inline "
         f"evaluate_core ({inline_ms:.2f} ms) by more than half"
+    )
+
+
+def _request(method: str, path: str, payload: dict) -> HttpRequest:
+    return HttpRequest(method=method, path=path, body=json.dumps(payload).encode())
+
+
+async def measure_writes(versions: list[list[dict]]) -> dict:
+    """Alternate the registrations of ``versions`` on an inline and a
+    two-worker service, each write followed at once by a count of the
+    graph's edges; returns each side's write and read times, and what
+    the reads answered and where."""
+    services = {0: QueryService(), WORKERS: QueryService(workers=WORKERS)}
+    for service in services.values():
+        await service.ensure_executor()
+    query = _request(
+        "POST", "/query", {"database": "probe", "atoms": _atoms("ab"), "mode": "count"}
+    )
+    out = {
+        workers: {"write": [], "read": [], "answers": []} for workers in services
+    }
+    try:
+        for i in range(WRITES):
+            relations = versions[i % len(versions)]
+            write = _request("POST", "/databases", {"name": "probe", "relations": relations})
+            for workers, service in services.items():
+                start = time.perf_counter()
+                registered = json.loads(await _body(service, write))
+                wrote = time.perf_counter()
+                answered = json.loads(await _body(service, query))
+                read = time.perf_counter()
+                record = service.telemetry.request(answered["request_id"])
+                out[workers]["write"].append(wrote - start)
+                out[workers]["read"].append(read - wrote)
+                out[workers]["answers"].append(
+                    (registered["fingerprint"], answered["count"], record.source)
+                )
+                await asyncio.sleep(PAUSE_S)
+        counters = services[WORKERS].telemetry.registry.counter_value
+        out["errors"] = counters("executor.errors")
+        out["inline_fallbacks"] = counters("executor.inline_fallbacks")
+    finally:
+        for service in services.values():
+            await service.stop()
+    return out
+
+
+async def _body(service: QueryService, request: HttpRequest) -> bytes:
+    data = await service.dispatch(request)
+    head, __, body = data.partition(b"\r\n\r\n")
+    assert head.split()[1] == b"200", body
+    return body
+
+
+def test_registration_at_two_workers_costs_at_most_half_an_inline_one_more():
+    rng = random.Random(SEED)
+    edges = regular_digraph(rng, PROBE_VERTICES, PROBE_DEGREE)
+    # The second version has three more edges, so a read that answers
+    # the old content is seen.
+    extra = [(PROBE_VERTICES + a, PROBE_VERTICES + b) for a, b in ((0, 1), (1, 2), (0, 2))]
+    versions = [
+        [{"name": "E", "attributes": ["src", "dst"], "tuples": [list(e) for e in graph]}]
+        for graph in (edges, edges + extra)
+    ]
+    result = asyncio.run(measure_writes(versions))
+    inline, sharded = result[0], result[WORKERS]
+    rows = []
+    for workers, side in ((0, inline), (WORKERS, sharded)):
+        row = {
+            "workers": workers,
+            "edges": [len(edges), len(edges) + len(extra)],
+            "write_ms": min(side["write"]) * 1e3,
+            "read_after_ms": min(side["read"]) * 1e3,
+            "write_then_read_ms": min(map(sum, zip(side["write"], side["read"]))) * 1e3,
+        }
+        rows.append(row)
+        print(
+            f"registration workers={workers}: write {row['write_ms']:.2f} ms, read "
+            f"after {row['read_after_ms']:.2f} ms, both {row['write_then_read_ms']:.2f} ms"
+        )
+    _merge_record(
+        {
+            "registration": {
+                "workload": "a 5,600-edge registration through QueryService.dispatch, "
+                "then a count of its edges, alternating two versions",
+                "machine": _machine(),
+                "best_of_writes": WRITES,
+                "pause_s": PAUSE_S,
+                "rows": rows,
+            }
+        }
+    )
+    counts = {fingerprint: count for fingerprint, count, __ in inline["answers"]}
+    assert len(set(counts.values())) == len(versions), counts
+    for fingerprint, count, source in sharded["answers"]:
+        assert (source, count) == ("worker", counts[fingerprint]), (
+            "the read right after a registration did not answer the new content "
+            "from the worker"
+        )
+    assert [a[0] for a in sharded["answers"]] == [a[0] for a in inline["answers"]]
+    assert result["errors"] == result["inline_fallbacks"] == 0, result
+    write_ms, inline_ms = rows[1]["write_ms"], rows[0]["write_ms"]
+    assert write_ms <= MAX_WRITE_RATIO * inline_ms, (
+        f"a registration at workers={WORKERS} ({write_ms:.2f} ms) costs more than "
+        f"{MAX_WRITE_RATIO}x an inline one ({inline_ms:.2f} ms)"
     )

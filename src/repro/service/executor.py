@@ -26,11 +26,21 @@ module supplies the machinery:
   its reply is read and dropped. The parent runs no thread for this
   (DESIGN.md, "Sharded execution", says why there is no pool).
 * **Replication** — the owning worker holds a replica of each of its
-  databases (:data:`_SHARD`), built from the store's canonical
-  payload and keyed by fingerprint; a re-registration changes the
-  fingerprint, so the next dispatch observes a stale replica, re
-  replicates, and retries. Replicas carry their own
-  :class:`~repro.relational.kernels.KernelState`, so tries and
+  databases (:data:`_SHARD`), keyed by fingerprint. A registration
+  ships the payload the store validated, anything else (start, a
+  respawned worker, a stale retry) the store's canonical payload, and
+  :func:`~repro.service.store.database_from_payload` builds either
+  from the one canonical row sequence the store's own database was
+  built from, so replica and parent intern alike (values whose hash is
+  not seeded per process). :meth:`ShardedExecutor.replicate` returns
+  once its frames are drained, without waiting for the worker to build
+  the replica: the shard's stream orders every later call behind
+  them. A failed replication (an error reply, EOF, a frame that does
+  not send) counts ``executor.errors`` and forgets the assignment, so
+  it heals through the stale path: a re-registration changes the
+  fingerprint too, and the next dispatch that observes a stale or
+  unassigned replica re-replicates and retries. Replicas carry their
+  own :class:`~repro.relational.kernels.KernelState`, so tries and
   interners built for the first query of a shape stay warm inside
   the worker exactly as they do in the parent.
 * **Dispatch** — :meth:`ShardedExecutor.dispatch` runs
@@ -47,6 +57,8 @@ module supplies the machinery:
   dead. The next call to the shard spawns a fresh worker and counts
   ``executor.restarts``; the fresh worker holds no replica, so the
   dispatch's stale path re-replicates what it needs.
+  :meth:`ShardedExecutor.health` (``/healthz``) reports each shard's
+  liveness and respawn count.
 
 Worker processes use the ``spawn`` start method: forking a process
 that already runs an event loop is the classic deadlock, and spawn
@@ -68,6 +80,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import functools
 import json
 import multiprocessing
 import pickle
@@ -397,17 +410,19 @@ class _Worker:
         reader, writer = await asyncio.open_connection(sock=ours)
         return cls(process, reader, writer)
 
-    async def submit(self, fn, *args):
-        """Run ``fn(*args)`` in the worker; returns its result or raises
-        what it raised, and :class:`EOFError` once the worker is gone.
+    async def submit(self, fn, *args) -> asyncio.Future:
+        """Send ``fn(*args)`` to the worker; returns, once the frame is
+        drained, the future of its reply. The future resolves to the
+        call's result, or raises what it raised, and :class:`EOFError`
+        once the worker is gone; ``submit`` itself raises
+        :class:`EOFError` if it already is.
 
         The frame is written and its future queued with no ``await`` in
         between, so calls reach the worker, and replies their futures,
         in call order. ``drain`` applies the socket's flow control to
         large frames (a replication payload).
 
-        Complexity: O(size of both frames) in the parent, plus the call
-        in the worker.
+        Complexity: O(size of the frame) in the parent.
         """
         if not self.alive:
             raise EOFError("the shard worker is gone")
@@ -422,7 +437,7 @@ class _Worker:
         except asyncio.CancelledError:
             future.cancel()  # the reader drops its reply
             raise
-        return await future
+        return future
 
     async def _read_replies(self) -> None:
         """Resolve the pending futures, oldest first, with the worker's
@@ -457,6 +472,13 @@ class _Worker:
                 future = pending.popleft()
                 if not future.done():
                     future.set_exception(EOFError("the shard worker exited"))
+
+    async def wait_closed(self) -> None:
+        """Wait until the reader has seen the socket close.
+
+        Complexity: O(1) once the socket is closed.
+        """
+        await asyncio.wait([self._task])
 
     def close(self) -> None:
         """Shut the parent's end down now, without waiting: the worker
@@ -493,6 +515,7 @@ class ShardedExecutor:
         self._respawn: asyncio.Lock | None = None
         self._assignments: dict[str, tuple[str, int]] = {}
         self._dispatched: list[int] = [0] * workers
+        self._restarts: list[int] = [0] * workers
         self._started = False
 
     @property
@@ -514,9 +537,8 @@ class ShardedExecutor:
         self._workers = []
         for _ in range(self.workers):
             self._workers.append(await _Worker.spawn(self._context))
-        await asyncio.gather(
-            *(worker.submit(_worker_ping) for worker in self._workers)
-        )
+        pings = [await worker.submit(_worker_ping) for worker in self._workers]
+        await asyncio.gather(*pings)
         self._started = True
         self.registry.gauge("executor.workers").set(self.workers)
         for name in self.store.names():
@@ -540,32 +562,69 @@ class ShardedExecutor:
             if not worker.alive and self._started:
                 worker = self._workers[shard] = await _Worker.spawn(self._context)
                 self.registry.counter("executor.restarts").inc()
+                self._restarts[shard] += 1
                 if not self._started:
                     worker.close()  # the executor shut down while it spawned
         return worker
 
-    async def replicate(self, name: str) -> int:
-        """Ship ``name``'s current content to its owning shard.
+    async def replicate(self, name: str, relations: list[dict] | None = None) -> int:
+        """Ship ``name``'s current content to its owning shard; returns
+        the shard index.
 
-        Returns the shard index. When new content moves the database to
-        a different shard, the previous owner drops its replica.
+        ``relations`` is the registration payload the store just built
+        ``name`` from; without it the store's canonical payload is
+        shipped. The worker builds its replica with
+        :func:`~repro.service.store.database_from_payload`, which puts
+        either into the row order the store's database was built from.
+        When new content moves the database to a different shard, the
+        previous owner drops its replica.
+
+        Returns once the frames are drained, without waiting for the
+        worker to build the replica: the shard's stream orders every
+        later call behind them. A reply that is an error, the worker's
+        EOF, and a failure to send all count ``executor.errors`` and
+        forget the assignment, so the next dispatch re-replicates (the
+        stale path); no transport failure reaches the caller.
         """
-        payload = self.store.canonical_payload(name)
         fingerprint = self.store.fingerprint(name)
+        if relations is None:
+            relations = self.store.canonical_payload(name)
         shard = self.shard_for(fingerprint)
         previous = self._assignments.get(name)
-        worker = await self._worker(shard)
-        await worker.submit(
-            _apply_register, name, payload, fingerprint, self.store.backend
-        )
-        if previous is not None and previous[1] != shard:
-            # A dead previous owner holds no replica to drop.
-            owner = self._workers[previous[1]]
-            if owner.alive:
-                await owner.submit(_apply_drop, name)
+        try:
+            worker = await self._worker(shard)
+            replies = [
+                await worker.submit(
+                    _apply_register, name, relations, fingerprint, self.store.backend
+                )
+            ]
+            if previous is not None and previous[1] != shard:
+                # A dead previous owner holds no replica to drop.
+                owner = self._workers[previous[1]]
+                if owner.alive:
+                    replies.append(await owner.submit(_apply_drop, name))
+        except (OSError, EOFError, pickle.PickleError):
+            self._replica_failed(name, fingerprint)
+            return shard
         self._assignments[name] = (fingerprint, shard)
+        for reply in replies:
+            reply.add_done_callback(
+                functools.partial(self._replica_reply, name, fingerprint)
+            )
         self.registry.counter("executor.replications").inc()
         return shard
+
+    def _replica_reply(self, name: str, fingerprint: str, reply: asyncio.Future) -> None:
+        """The reply to a replication frame: an error or EOF fails it."""
+        if not reply.cancelled() and reply.exception() is not None:
+            self._replica_failed(name, fingerprint)
+
+    def _replica_failed(self, name: str, fingerprint: str) -> None:
+        """Count a failed replication of ``name`` at ``fingerprint`` and
+        forget its assignment, unless a later one replaced it."""
+        self.registry.counter("executor.errors").inc()
+        if self._assignments.get(name, ("",))[0] == fingerprint:
+            del self._assignments[name]
 
     async def dispatch(self, spec: dict, request_id: str) -> dict | None:
         """Run one evaluation in the owning worker; ``None`` = fall back.
@@ -590,11 +649,13 @@ class ShardedExecutor:
             assigned = self._assignments.get(name)
             if assigned is None or assigned[0] != fingerprint:
                 await self.replicate(name)
-            result = await worker.submit(_worker_run_query, worker_spec)
+            reply = await worker.submit(_worker_run_query, worker_spec)
+            result = await reply
             if isinstance(result, dict) and result.get("stale"):
                 self.registry.counter("executor.stale_retries").inc()
                 await self.replicate(name)
-                result = await worker.submit(_worker_run_query, worker_spec)
+                reply = await worker.submit(_worker_run_query, worker_spec)
+                result = await reply
             if isinstance(result, dict) and result.get("stale"):
                 self.registry.counter("executor.inline_fallbacks").inc()
                 return None
@@ -618,6 +679,25 @@ class ShardedExecutor:
         self._started = False
         for worker in self._workers:
             worker.close()
+
+    async def wait_closed(self) -> None:
+        """After :meth:`shutdown`, wait until every shard's reader has
+        seen its socket close and failed what was pending: a loop closed
+        before then destroys the readers while they are still pending."""
+        for worker in self._workers:
+            await worker.wait_closed()
+
+    def health(self) -> dict:
+        """The ``/healthz`` view: per shard, whether its worker is alive
+        and how many times it was respawned (``executor.restarts`` is
+        their sum). A dead shard is respawned by the next call to it."""
+        return {
+            str(shard): {
+                "alive": self._started and self._workers[shard].alive,
+                "restarts": self._restarts[shard],
+            }
+            for shard in range(self.workers)
+        }
 
     def to_payload(self) -> dict:
         """The ``/metrics`` view: shard ownership and dispatch counts."""

@@ -259,6 +259,7 @@ class QueryService:
             self._server = None
         if self.executor is not None:
             self.executor.shutdown()
+            await self.executor.wait_closed()
 
     # -- connection loop ------------------------------------------------
 
@@ -405,7 +406,9 @@ class QueryService:
         fingerprint = self.store.register(name, relations)
         dropped = self.plan_cache.invalidate_database(name)
         if self.executor is not None and self.executor.started:
-            await self.executor.replicate(name)
+            # Ships the payload the store validated; the worker puts it
+            # in canonical order itself. Returns without waiting for it.
+            await self.executor.replicate(name, relations)
         self.telemetry.registry.gauge("store.databases").set(len(self.store))
         body = json_response_bytes(
             200,
@@ -613,18 +616,15 @@ class QueryService:
         return payload
 
     async def _handle_healthz(self, request: HttpRequest, request_id: str):
-        body = json_response_bytes(
-            200,
-            {
-                "status": "ok",
-                "request_id": request_id,
-                "databases": len(self.store),
-                "requests_total": self.telemetry.registry.counter_value(
-                    "requests.total"
-                ),
-            },
-        )
-        return 200, body, {}
+        health = {
+            "status": "ok",
+            "request_id": request_id,
+            "databases": len(self.store),
+            "requests_total": self.telemetry.registry.counter_value("requests.total"),
+        }
+        if self.executor is not None:
+            health["shards"] = self.executor.health()
+        return 200, json_response_bytes(200, health), {}
 
     async def _handle_slowlog(self, request: HttpRequest, request_id: str):
         body = json_response_bytes(

@@ -37,9 +37,12 @@ from ..relational.relation import Relation
 def relations_payload(database: Database) -> list[dict]:
     """The canonical JSON form of a database's relations.
 
-    Tuples are sorted by ``repr`` so logically equal databases (set
-    semantics) serialize byte-identically regardless of insertion
-    order.
+    Relations are in name order and each one's tuples are sorted by
+    ``repr``, so logically equal databases (set semantics) serialize
+    byte-identically regardless of insertion order. For a database
+    :func:`database_from_payload` built, these are the rows it was
+    built from, in the order it inserted them: re-derived from the
+    relations' sets, since the store keeps no second copy of a payload.
     """
     return [
         {
@@ -150,19 +153,28 @@ def _require_keys(
             raise SchemaError(f"{what} missing key {key!r}")
 
 
-def database_from_payload(payload: list[dict], backend: str = "columnar") -> Database:
-    """Build a :class:`Database` from a relations payload.
+def _canonical_rows(rows: list[list]) -> list[list]:
+    """``rows`` sorted by ``repr``, duplicates dropped: the order in
+    which every copy of a relation inserts them.
 
-    Each entry has exactly a string ``name``, ``attributes`` as a list
-    of strings and ``tuples`` as a list of lists of JSON scalars, and no
-    two values of the database are equal in Python but different in JSON
-    (:func:`_require_distinct_values`, checked only when the value types
-    allow a clash: a float, or a bool beside an int); anything else is a
-    :class:`SchemaError`, never coerced.
+    Validated rows that are equal in Python have one ``repr``
+    (:func:`_require_distinct_values`), so duplicates end up adjacent.
+
+    Complexity: O(n log n) comparisons for n rows.
     """
+    ordered = sorted(rows, key=repr)
+    return [row for row, before in zip(ordered, [None, *ordered]) if row != before]
+
+
+def _build(payload: list[dict], backend: str) -> tuple[Database, list[dict]]:
+    """:func:`database_from_payload`'s database, and its canonical
+    relations payload: the rows it was built from, in the order it
+    inserted them, with the relations in name order -- what
+    :func:`relations_payload` would re-derive from the database."""
     if not isinstance(payload, list) or not payload:
         raise SchemaError("relations payload must be a non-empty list")
     relations = []
+    canonical = []
     types: set[type] = set()
     for entry in payload:
         if not isinstance(entry, dict):
@@ -174,11 +186,36 @@ def database_from_payload(payload: list[dict], backend: str = "columnar") -> Dat
         _require_list(attributes, "relation 'attributes'", str)
         _require_list(tuples, "relation 'tuples'", list)
         types |= _require_scalar_rows(tuples, f"relation {name!r}")
+        rows = _canonical_rows(tuples)
         # ``Relation.add`` makes each row a tuple.
-        relations.append(Relation(name, tuple(attributes), tuples))
+        relations.append(Relation(name, tuple(attributes), rows))
+        canonical.append({"name": name, "attributes": attributes, "tuples": rows})
     if float in types or (bool in types and int in types):
         _require_distinct_values(payload)
-    return Database(relations, backend=backend)
+    canonical.sort(key=lambda entry: entry["name"])
+    return Database(relations, backend=backend), canonical
+
+
+def database_from_payload(payload: list[dict], backend: str = "columnar") -> Database:
+    """Build a :class:`Database` from a relations payload.
+
+    Each entry has exactly a string ``name``, ``attributes`` as a list
+    of strings and ``tuples`` as a list of lists of JSON scalars, and no
+    two values of the database are equal in Python but different in JSON
+    (:func:`_require_distinct_values`, checked only when the value types
+    allow a clash: a float, or a bool beside an int); anything else is a
+    :class:`SchemaError`, never coerced.
+
+    Each relation inserts its rows sorted by ``repr``, duplicates
+    dropped, whatever order the payload lists them in. That is the one
+    row sequence of a registered database: the store's database, the
+    fingerprint and every shard replica are built from it, so the
+    copies' interners hand out the same codes wherever a value's hash
+    does not depend on the process (ints, floats and booleans; ``null``
+    from Python 3.12). A string's hash is seeded per process, so a
+    string-valued replica still interns in its own order.
+    """
+    return _build(payload, backend)[0]
 
 
 def fingerprint_payload(payload: list[dict]) -> str:
@@ -219,11 +256,11 @@ class DatabaseStore:
                 self._install(path.stem, payload)
 
     def _install(self, name: str, payload: list[dict]) -> _Entry:
-        database = database_from_payload(payload, backend=self.backend)
-        # Fingerprint the *canonical* form, not the wire payload:
-        # logically equal registrations (same tuples, any order) share
-        # one fingerprint and therefore one set of cached plans.
-        canonical = relations_payload(database)
+        # Fingerprint the canonical rows the database was built from, not
+        # the wire payload: logically equal registrations (same tuples,
+        # any order, any repeats) share one fingerprint and therefore one
+        # set of cached plans.
+        database, canonical = _build(payload, self.backend)
         entry = _Entry(
             database, fingerprint_payload(canonical), _content_version(database)
         )
@@ -266,10 +303,14 @@ class DatabaseStore:
         return entry.fingerprint
 
     def canonical_payload(self, name: str) -> list[dict]:
-        """The canonical relations payload of a registered database —
-        the exact bytes-equivalent form the fingerprint hashes, and the
-        form the sharded executor ships to worker replicas (so replica
-        and parent agree on content by construction)."""
+        """The canonical relations payload of a registered database,
+        re-derived from its relations (:func:`relations_payload`): the
+        form the fingerprint hashes, and the one the sharded executor
+        replicates when it holds no registration payload (at start, to
+        a respawned worker, on a stale retry). It lists the rows in the
+        order the database was built from, which is also the order
+        :func:`database_from_payload` puts any payload of this content
+        in, so a replica inserts them as the store's database did."""
         return relations_payload(self.get(name))
 
     def names(self) -> list[str]:

@@ -7,6 +7,7 @@ import json
 import os
 import signal
 import threading
+import time
 
 import pytest
 
@@ -26,7 +27,7 @@ from repro.service.executor import (
     evaluate_core,
     shard_for_fingerprint,
 )
-from repro.service.http import json_response_bytes
+from repro.service.http import HttpRequest, json_response_bytes
 from repro.service.plan_cache import PlanCache
 from repro.service.server import strip_volatile
 from repro.service.store import DatabaseStore, database_from_payload
@@ -463,3 +464,101 @@ class TestRespawn:
         for process in asyncio.run(bounded()):
             process.join(timeout=10)
             assert not process.is_alive()
+
+    def test_a_registration_racing_the_workers_death_answers(self):
+        """SIGKILL both workers and register new content before their
+        readers see EOF: the registration answers 200 with the new
+        fingerprint, and the next query answers the new content from a
+        respawned worker."""
+        fresh = [dict(r, tuples=EDGES + [[3, 1], [4, 2]]) for r in RELATIONS]
+        query = {"database": "demo", "atoms": TRIANGLE_ATOMS, "mode": "count"}
+        expected = DatabaseStore()
+        fingerprint = expected.register("demo", fresh)
+        spec = build_spec(expected, "demo", TRIANGLE_ATOMS, mode="count")
+        count = evaluate_core(expected.get("demo"), spec, track="x")["count"]
+
+        async def main():
+            service = QueryService(workers=2)
+            await service.ensure_executor()
+            executor = service.executor
+            try:
+                status, __ = await call(
+                    service, "POST", "/databases", {"name": "demo", "relations": RELATIONS}
+                )
+                assert status == 200
+                victims = [worker.process for worker in executor._workers]
+                for victim in victims:
+                    os.kill(victim.pid, signal.SIGKILL)
+                # Without yielding to the loop: the readers see no EOF yet.
+                time.sleep(0.05)
+                status, registered = await call(
+                    service, "POST", "/databases", {"name": "demo", "relations": fresh}
+                )
+                assert status == 200, registered
+                assert registered["fingerprint"] == fingerprint
+                while any(worker.alive for worker in executor._workers):
+                    await asyncio.sleep(0.01)
+                status, answered = await call(service, "POST", "/query", query)
+                assert status == 200, answered
+                record = service.telemetry.request(answered["request_id"])
+                return answered, record, executor.registry.counter_value, victims
+            finally:
+                await service.stop()
+
+        answered, record, counter, victims = asyncio.run(asyncio.wait_for(main(), 120))
+        assert answered["count"] == count
+        assert answered["fingerprint"] == fingerprint
+        assert record.source == "worker"
+        assert counter("executor.restarts") == 1
+        assert counter("executor.errors") >= 1
+        assert counter("executor.inline_fallbacks") == 0
+        for victim in victims:
+            victim.join(timeout=10)
+            assert not victim.is_alive()
+
+    def test_healthz_reports_each_shard(self):
+        """``/healthz`` shows a shard dead once its reader saw its worker
+        exit, and alive with one restart after the next dispatch to it.
+        """
+        query = {"database": "demo", "atoms": TRIANGLE_ATOMS, "mode": "count"}
+
+        async def main():
+            service = QueryService(workers=2)
+            await service.ensure_executor()
+            executor = service.executor
+            try:
+                await call(
+                    service, "POST", "/databases", {"name": "demo", "relations": RELATIONS}
+                )
+                views = [(await call(service, "GET", "/healthz"))[1]["shards"]]
+                shard = executor.shard_for(service.store.fingerprint("demo"))
+                victim = executor._workers[shard]
+                os.kill(victim.process.pid, signal.SIGKILL)
+                while victim.alive:
+                    await asyncio.sleep(0.01)
+                views.append((await call(service, "GET", "/healthz"))[1]["shards"])
+                status, __ = await call(service, "POST", "/query", query)
+                assert status == 200
+                views.append((await call(service, "GET", "/healthz"))[1]["shards"])
+                return shard, views
+            finally:
+                await service.stop()
+
+        shard, (before, dead, respawned) = asyncio.run(asyncio.wait_for(main(), 120))
+        other = str(1 - shard)
+        shard = str(shard)
+        assert before == {
+            "0": {"alive": True, "restarts": 0},
+            "1": {"alive": True, "restarts": 0},
+        }
+        assert dead[shard] == {"alive": False, "restarts": 0}
+        assert respawned[shard] == {"alive": True, "restarts": 1}
+        assert dead[other] == respawned[other] == before[other]
+
+
+async def call(service, method: str, path: str, payload=None):
+    """One socketless request; returns (status, parsed JSON body)."""
+    body = b"" if payload is None else json.dumps(payload).encode()
+    data = await service.dispatch(HttpRequest(method=method, path=path, body=body))
+    head, __, response_body = data.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(response_body)

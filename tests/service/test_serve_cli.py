@@ -26,6 +26,7 @@ from repro.relational.router import execute_route
 from repro.relational.semiring import get_semiring
 from repro.service.server import canonical_answers, strip_volatile
 from repro.service.store import database_from_payload, relations_payload
+from tests.property.test_property_executor import shuffled_payload
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -295,9 +296,14 @@ def _traffic(backend: str, workers: int, catalog: dict, expected: dict):
 
 @pytest.mark.parametrize("backend", ["columnar", "naive"])
 def test_workers_answer_byte_identically_over_http(backend):
+    # Rows out of canonical order, some repeated: the parent and the
+    # worker must still build each database from one row order.
     catalog = {
-        f"bench{index}": relations_payload(
-            uniform_random_database(JoinQuery.triangle(), 100, 12, seed=seed)
+        f"bench{index}": shuffled_payload(
+            relations_payload(
+                uniform_random_database(JoinQuery.triangle(), 100, 12, seed=seed)
+            ),
+            seed,
         )
         for index, seed in enumerate(SEEDS)
     }

@@ -758,6 +758,10 @@ class TestObservabilityEndpoints:
             await client.query("demo", PATH_ATOMS)
             health = await client.get_json("/healthz")
             assert health["status"] == "ok" and health["databases"] == 1
+            # Inline (--workers 0): no shard to report.
+            assert sorted(health) == [
+                "databases", "request_id", "requests_total", "status"
+            ]
             metrics = await client.get_json("/metrics")
             assert metrics["plan_cache"]["misses"] == 2
             assert metrics["telemetry"]["route_mix"] == {
