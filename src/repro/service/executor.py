@@ -36,10 +36,13 @@ module supplies the machinery:
   once its frames are drained, without waiting for the worker to build
   the replica: the shard's stream orders every later call behind
   them. A failed replication (an error reply, EOF, a frame that does
-  not send) counts ``executor.errors`` and forgets the assignment, so
-  it heals through the stale path: a re-registration changes the
-  fingerprint too, and the next dispatch that observes a stale or
-  unassigned replica re-replicates and retries. Replicas carry their
+  not send) forgets the assignment, so it heals through the stale
+  path: a re-registration changes the fingerprint too, and the next
+  dispatch that observes a stale or unassigned replica re-replicates
+  and retries. It counts ``executor.errors`` unless it is EOF, which
+  each call the dead worker fails over to inline evaluation counts
+  once. A failed ``_apply_drop`` needs no handling: a dead previous
+  owner holds no replica. Replicas carry their
   own :class:`~repro.relational.kernels.KernelState`, so tries and
   interners built for the first query of a shape stay warm inside
   the worker exactly as they do in the parent.
@@ -373,6 +376,12 @@ def _worker_main(sock: socket.socket) -> None:
 # ----------------------------------------------------------------------
 # parent side
 # ----------------------------------------------------------------------
+def _ignore_reply(reply: asyncio.Future) -> None:
+    """Read a reply nobody awaits, so asyncio does not log its error."""
+    if not reply.cancelled():
+        reply.exception()
+
+
 class _Worker:
     """One shard's spawned worker process and the parent's end of its
     socket, read by one reader task on the event loop.
@@ -581,10 +590,10 @@ class ShardedExecutor:
 
         Returns once the frames are drained, without waiting for the
         worker to build the replica: the shard's stream orders every
-        later call behind them. A reply that is an error, the worker's
-        EOF, and a failure to send all count ``executor.errors`` and
-        forget the assignment, so the next dispatch re-replicates (the
-        stale path); no transport failure reaches the caller.
+        later call behind them. A failed ``_apply_register`` (an error
+        reply, the worker's EOF, a frame that does not send) forgets
+        the assignment, so the next dispatch re-replicates (the stale
+        path); no transport failure reaches the caller.
         """
         fingerprint = self.store.fingerprint(name)
         if relations is None:
@@ -593,36 +602,41 @@ class ShardedExecutor:
         previous = self._assignments.get(name)
         try:
             worker = await self._worker(shard)
-            replies = [
-                await worker.submit(
-                    _apply_register, name, relations, fingerprint, self.store.backend
-                )
-            ]
-            if previous is not None and previous[1] != shard:
-                # A dead previous owner holds no replica to drop.
-                owner = self._workers[previous[1]]
-                if owner.alive:
-                    replies.append(await owner.submit(_apply_drop, name))
-        except (OSError, EOFError, pickle.PickleError):
-            self._replica_failed(name, fingerprint)
+            registered = await worker.submit(
+                _apply_register, name, relations, fingerprint, self.store.backend
+            )
+        except (OSError, EOFError, pickle.PickleError) as exc:
+            self._replica_failed(name, fingerprint, exc)
             return shard
         self._assignments[name] = (fingerprint, shard)
-        for reply in replies:
-            reply.add_done_callback(
-                functools.partial(self._replica_reply, name, fingerprint)
-            )
+        registered.add_done_callback(
+            functools.partial(self._replica_reply, name, fingerprint)
+        )
+        if previous is not None and previous[1] != shard:
+            # A dead previous owner holds no replica to drop, so a drop
+            # that fails needs no handling.
+            owner = self._workers[previous[1]]
+            if owner.alive:
+                (await owner.submit(_apply_drop, name)).add_done_callback(
+                    _ignore_reply
+                )
         self.registry.counter("executor.replications").inc()
         return shard
 
     def _replica_reply(self, name: str, fingerprint: str, reply: asyncio.Future) -> None:
-        """The reply to a replication frame: an error or EOF fails it."""
+        """The reply to an ``_apply_register`` frame: a failure fails the
+        replication."""
         if not reply.cancelled() and reply.exception() is not None:
-            self._replica_failed(name, fingerprint)
+            self._replica_failed(name, fingerprint, reply.exception())
 
-    def _replica_failed(self, name: str, fingerprint: str) -> None:
-        """Count a failed replication of ``name`` at ``fingerprint`` and
-        forget its assignment, unless a later one replaced it."""
-        self.registry.counter("executor.errors").inc()
+    def _replica_failed(self, name: str, fingerprint: str, exc: BaseException) -> None:
+        """Forget ``name``'s assignment at ``fingerprint`` after a failed
+        replication, unless a later one replaced it, and count the
+        failure in ``executor.errors`` unless it is EOF: a worker's death
+        is counted by each call it fails over to inline evaluation, and
+        by its respawn."""
+        if not isinstance(exc, EOFError):
+            self.registry.counter("executor.errors").inc()
         if self._assignments.get(name, ("",))[0] == fingerprint:
             del self._assignments[name]
 

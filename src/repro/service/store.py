@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Iterable, Sequence
 from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
 
 from ..errors import SchemaError
@@ -35,23 +37,18 @@ from ..relational.relation import Relation
 
 
 def relations_payload(database: Database) -> list[dict]:
-    """The canonical JSON form of a database's relations.
-
-    Relations are in name order and each one's tuples are sorted by
-    ``repr``, so logically equal databases (set semantics) serialize
-    byte-identically regardless of insertion order. For a database
-    :func:`database_from_payload` built, these are the rows it was
-    built from, in the order it inserted them: re-derived from the
-    relations' sets, since the store keeps no second copy of a payload.
+    """The canonical JSON form of a database's relations
+    (:func:`_canonical_payload`), so logically equal databases (set
+    semantics) serialize byte-identically regardless of insertion
+    order. For a database :func:`database_from_payload` built, these
+    are the relations and rows it was built from, in the order it
+    inserted them: re-derived from the relations' sets, since the store
+    keeps no second copy of a payload.
     """
-    return [
-        {
-            "name": rel.name,
-            "attributes": list(rel.attributes),
-            "tuples": sorted((list(t) for t in rel.tuples), key=repr),
-        }
-        for rel in sorted(database.relations(), key=lambda r: r.name)
-    ]
+    return _canonical_payload(
+        (rel.name, rel.attributes, map(list, rel.tuples))
+        for rel in database.relations()
+    )
 
 
 def _require_list(value, what: str, item: type | None = None) -> None:
@@ -153,28 +150,44 @@ def _require_keys(
             raise SchemaError(f"{what} missing key {key!r}")
 
 
-def _canonical_rows(rows: list[list]) -> list[list]:
-    """``rows`` sorted by ``repr``, duplicates dropped: the order in
-    which every copy of a relation inserts them.
+def _canonical_payload(
+    relations: Iterable[tuple[str, Sequence[str], Iterable[list]]],
+) -> list[dict]:
+    """The canonical relations payload of ``(name, attributes, rows)``
+    triples: the relations in name order, each one's rows sorted by
+    ``repr`` with duplicates dropped. It is the one row sequence of a
+    registered database: every copy of it inserts its rows in this
+    order, and the fingerprint hashes it.
 
     Validated rows that are equal in Python have one ``repr``
     (:func:`_require_distinct_values`), so duplicates end up adjacent.
 
     Complexity: O(n log n) comparisons for n rows.
     """
-    ordered = sorted(rows, key=repr)
-    return [row for row, before in zip(ordered, [None, *ordered]) if row != before]
+    payload = []
+    for name, attributes, rows in sorted(relations, key=itemgetter(0)):
+        ordered = sorted(rows, key=repr)
+        payload.append(
+            {
+                "name": name,
+                "attributes": list(attributes),
+                "tuples": [
+                    row for row, before in zip(ordered, [None, *ordered])
+                    if row != before
+                ],
+            }
+        )
+    return payload
 
 
 def _build(payload: list[dict], backend: str) -> tuple[Database, list[dict]]:
     """:func:`database_from_payload`'s database, and its canonical
-    relations payload: the rows it was built from, in the order it
-    inserted them, with the relations in name order -- what
+    relations payload (:func:`_canonical_payload`): the relations and
+    rows it was built from, in the order it inserted them -- what
     :func:`relations_payload` would re-derive from the database."""
     if not isinstance(payload, list) or not payload:
         raise SchemaError("relations payload must be a non-empty list")
-    relations = []
-    canonical = []
+    validated = []
     types: set[type] = set()
     for entry in payload:
         if not isinstance(entry, dict):
@@ -186,13 +199,15 @@ def _build(payload: list[dict], backend: str) -> tuple[Database, list[dict]]:
         _require_list(attributes, "relation 'attributes'", str)
         _require_list(tuples, "relation 'tuples'", list)
         types |= _require_scalar_rows(tuples, f"relation {name!r}")
-        rows = _canonical_rows(tuples)
-        # ``Relation.add`` makes each row a tuple.
-        relations.append(Relation(name, tuple(attributes), rows))
-        canonical.append({"name": name, "attributes": attributes, "tuples": rows})
+        validated.append((name, attributes, tuples))
     if float in types or (bool in types and int in types):
         _require_distinct_values(payload)
-    canonical.sort(key=lambda entry: entry["name"])
+    canonical = _canonical_payload(validated)
+    # ``Relation.add`` makes each row a tuple.
+    relations = [
+        Relation(entry["name"], tuple(entry["attributes"]), entry["tuples"])
+        for entry in canonical
+    ]
     return Database(relations, backend=backend), canonical
 
 
@@ -206,9 +221,10 @@ def database_from_payload(payload: list[dict], backend: str = "columnar") -> Dat
     allow a clash: a float, or a bool beside an int); anything else is a
     :class:`SchemaError`, never coerced.
 
-    Each relation inserts its rows sorted by ``repr``, duplicates
-    dropped, whatever order the payload lists them in. That is the one
-    row sequence of a registered database: the store's database, the
+    The relations are added in name order and each inserts its rows
+    sorted by ``repr``, duplicates dropped, whatever order the payload
+    lists them in (:func:`_canonical_payload`). That is the one row
+    sequence of a registered database: the store's database, the
     fingerprint and every shard replica are built from it, so the
     copies' interners hand out the same codes wherever a value's hash
     does not depend on the process (ints, floats and booleans; ``null``

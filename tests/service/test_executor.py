@@ -301,6 +301,7 @@ def run_with_executor(body, store: DatabaseStore, workers: int = 2):
             return await body(executor)
         finally:
             executor.shutdown()
+            await executor.wait_closed()
 
     async def bounded():
         return await asyncio.wait_for(main(), timeout=120)
@@ -510,11 +511,75 @@ class TestRespawn:
         assert answered["fingerprint"] == fingerprint
         assert record.source == "worker"
         assert counter("executor.restarts") == 1
-        assert counter("executor.errors") >= 1
+        # The registration's EOF healed through the stale path: no call
+        # fell back inline, so nothing counts as an error.
+        assert counter("executor.errors") == 0
         assert counter("executor.inline_fallbacks") == 0
         for victim in victims:
             victim.join(timeout=10)
             assert not victim.is_alive()
+
+    def test_one_worker_death_counts_one_error(self):
+        """An EOF that fails a replication frame and the query queued
+        behind it counts ``executor.errors`` once, for the query that
+        fell back inline, and the next dispatch re-replicates."""
+        store = DatabaseStore()
+        store.register("demo", RELATIONS)
+        shard = shard_for_fingerprint(store.fingerprint("demo"), 2)
+        fresh = content_on_shard(shard)
+        spec, inline = expected_count(fresh)
+
+        async def body(executor):
+            await replicas_built(executor)
+            victim = executor._workers[shard].process
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=10)  # without yielding: no EOF seen yet
+            store.register("demo", fresh)
+            await executor.replicate("demo", fresh)
+            fallback = await executor.dispatch(spec, "r1")
+            assigned = "demo" in executor._assignments
+            core = await executor.dispatch(spec, "r2")
+            return fallback, assigned, core, executor.registry.counter_value
+
+        fallback, assigned, core, counter = run_with_executor(body, store)
+        assert fallback is None
+        assert not assigned
+        assert comparable(core) == comparable(inline)
+        assert counter("executor.errors") == 1
+        assert counter("executor.restarts") == 1
+
+    def test_a_failed_drop_keeps_the_new_owners_replica(self):
+        """New content that moves a database to the other shard while its
+        previous owner is dead: the drop sent to the dead owner fails,
+        and the new owner's replica stays assigned and answers with no
+        second replication and no error."""
+        store = DatabaseStore()
+        store.register("demo", RELATIONS)
+        previous = shard_for_fingerprint(store.fingerprint("demo"), 2)
+        fresh = content_on_shard(1 - previous)
+        spec, inline = expected_count(fresh)
+
+        async def body(executor):
+            assert executor._assignments["demo"][1] == previous
+            await replicas_built(executor)
+            owner = executor._workers[previous]
+            os.kill(owner.process.pid, signal.SIGKILL)
+            owner.process.join(timeout=10)  # without yielding: no EOF seen yet
+            store.register("demo", fresh)
+            await executor.replicate("demo", fresh)
+            assert len(owner._pending) == 1, "no drop was sent"
+            while owner.alive:
+                await asyncio.sleep(0.01)
+            replications = executor.registry.counter_value("executor.replications")
+            core = await executor.dispatch(spec, "r1")
+            return core, replications, executor.registry.counter_value
+
+        core, replications, counter = run_with_executor(body, store)
+        assert comparable(core) == comparable(inline)
+        assert core["shard"] == 1 - previous
+        assert counter("executor.replications") == replications
+        assert counter("executor.errors") == 0
+        assert counter("executor.restarts") == 0
 
     def test_healthz_reports_each_shard(self):
         """``/healthz`` shows a shard dead once its reader saw its worker
@@ -554,6 +619,33 @@ class TestRespawn:
         assert dead[shard] == {"alive": False, "restarts": 0}
         assert respawned[shard] == {"alive": True, "restarts": 1}
         assert dead[other] == respawned[other] == before[other]
+
+
+async def replicas_built(executor) -> None:
+    """Wait until every worker has answered every call sent to it: the
+    replications ``start()`` sent are not awaited."""
+    while any(worker._pending for worker in executor._workers):
+        await asyncio.sleep(0.01)
+
+
+def expected_count(relations: list[dict]) -> tuple[dict, dict]:
+    """The triangle-count spec over ``relations`` registered as ``demo``,
+    and its inline core."""
+    store = DatabaseStore()
+    store.register("demo", relations)
+    spec = build_spec(store, "demo", TRIANGLE_ATOMS, mode="count")
+    return spec, evaluate_core(store.get("demo"), spec, track="r1")
+
+
+def content_on_shard(shard: int) -> list[dict]:
+    """A variant of ``RELATIONS`` with one more edge whose fingerprint
+    two workers place on ``shard``."""
+    for extra in range(5, 100):
+        relations = [dict(r, tuples=EDGES + [[extra, 1]]) for r in RELATIONS]
+        store = DatabaseStore()
+        if shard_for_fingerprint(store.register("demo", relations), 2) == shard:
+            return relations
+    raise AssertionError(f"no variant lands on shard {shard}")
 
 
 async def call(service, method: str, path: str, payload=None):
