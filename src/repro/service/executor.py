@@ -49,12 +49,14 @@ module supplies the machinery:
 * **Dispatch** — :meth:`ShardedExecutor.dispatch` runs
   :func:`evaluate_core` in the owning worker, keeping the event loop
   free to parse and admit other requests while all cores evaluate. A
-  transport failure (stale after retry, EOF, ``OSError``, a frame that
-  does not pickle) returns ``None``, counts ``executor.errors``, and
-  the caller falls back to inline evaluation; an evaluation error
-  comes back as the worker's result and is re-raised once, as inline
-  evaluation raises it — ``--workers 0`` never starts a worker at
-  all, preserving the single-process behavior byte for byte.
+  transport failure (EOF, ``OSError``, a frame that does not pickle)
+  returns ``None`` and counts ``executor.errors``, a replica still
+  stale after one retry returns ``None`` and counts
+  ``executor.inline_fallbacks``, and the caller falls back to inline
+  evaluation; an evaluation error comes back as the worker's result
+  and is re-raised once, as inline evaluation raises it —
+  ``--workers 0`` never starts a worker at all, preserving the
+  single-process behavior byte for byte.
 * **Respawn** — EOF on a shard's socket (its worker died) fails every
   call pending on it over to inline evaluation and marks the shard
   dead. The next call to the shard spawns a fresh worker and counts
